@@ -54,8 +54,7 @@ class VectorNodeStore {
  public:
   using decoder_type = D;
 
-  VectorNodeStore(std::size_t n, std::size_t k, std::size_t payload_len)
-      : k_(k), payload_len_(payload_len) {
+  VectorNodeStore(std::size_t n, std::size_t k, std::size_t payload_len) {
     nodes_.reserve(n);
     for (std::size_t v = 0; v < n; ++v) nodes_.emplace_back(k, payload_len);
   }
@@ -63,33 +62,25 @@ class VectorNodeStore {
   D& at(graph::NodeId v) { return nodes_[v]; }
   const D& at(graph::NodeId v) const { return nodes_[v]; }
 
-  /// Churn/recycle reset: node v restarts with an empty decoder.  Decoders
-  /// exposing clear() (DenseDecoder) are recycled in place, keeping their
-  /// arena capacity -- what makes the streaming layer's decode-and-evict
-  /// pipeline allocation-free in steady state; others are reconstructed.
-  void reset(graph::NodeId v) {
-    if constexpr (requires(D& d) { d.clear(); }) {
-      nodes_[v].clear();
-    } else {
-      nodes_[v] = D(k_, payload_len_);
-    }
-  }
+  /// Churn/recycle reset: node v restarts with an empty decoder, recycled
+  /// in place with its arena capacity kept -- what makes the streaming
+  /// layer's decode-and-evict pipeline allocation-free in steady state.
+  void reset(graph::NodeId v) { nodes_[v].clear(); }
 
   /// No-op: every decoder object already owns its scratch, so the store is
   /// shard-safe under the contiguous-range discipline as constructed.
   void configure_shards(std::size_t /*shards*/) {}
 
-  /// Rough decoder-state footprint; full decoders reserve their arenas at
-  /// full-rank capacity up front, so this is capacity, not current rank.
+  /// Decoder-state footprint: the sum of the decoders' exact footprints.
+  /// Arenas are sized for full rank up front, so this is capacity, not
+  /// current rank.
   std::size_t memory_bytes() const noexcept {
-    // Approximation: arena + scratch + pivot map per node.  Exact enough for
-    // the bench tables that report footprint ratios.
-    return nodes_.size() * (sizeof(D) + k_ * (k_ + payload_len_ + 1) * 8);
+    std::size_t total = 0;
+    for (const D& d : nodes_) total += d.memory_bytes();
+    return total;
   }
 
  private:
-  std::size_t k_;
-  std::size_t payload_len_;
   std::vector<D> nodes_;
 };
 

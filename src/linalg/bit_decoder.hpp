@@ -1,24 +1,19 @@
 /// \file
 /// Bit-packed incremental decoder over GF(2).
-// ag-lint: allow-file(data-arith) -- row_ptr slices the row arena; i < rank_ <= k_ always
-// and the arena is reserved at k_ * row_stride_ words, so every stripe is in bounds.
 ///
 /// Same contract as DenseDecoder<GF2> but with coefficient rows packed 64 bits
 /// per word, so a rank update costs O(k * rank / 64) word operations.  The
 /// large stopping-time sweeps (e.g. the barbell's Theta(n^2) rounds, Table 1 /
-/// E5) use this decoder: the paper's bounds hold for every q >= 2, and q = 2
-/// only changes the helpfulness constant from 1 - 1/q to 1/2, not the order.
+/// E5) use this representation: the paper's bounds hold for every q >= 2, and
+/// q = 2 only changes the helpfulness constant from 1 - 1/q to 1/2, not the
+/// order.
 ///
-/// Storage mirrors DenseDecoder: rows live in one flat arena, each row a
-/// contiguous [coeff words | payload words] stripe, the arena is reserved at
-/// full-rank capacity, and insert/contains/the *_into builders reuse
-/// per-decoder scratch -- zero steady-state allocations.  Stored rows are
+/// BitRrefView<Mutable> is the state as a view; BitDecoder owns one node's
+/// worth of it (layout and ownership rules: linalg/rref_view.hpp).  Each row
+/// is a contiguous [coeff words | payload words] stripe.  Stored rows are
 /// zero before their pivot word (first set bit = pivot), so eliminations XOR
 /// only the [pivot_word, stride) tail, coefficient words and payload fused
-/// in one xor_words call.  The arena is 32-byte aligned with the row stride
-/// padded to a 4-word (32-byte) multiple -- pad words stay zero and are never
-/// read -- so every stripe starts on a 32-byte boundary for the SIMD backend's
-/// vector XOR (gf/backend/); stride() keeps reporting the logical words.
+/// in one xor_words call.
 #pragma once
 
 #include <algorithm>
@@ -26,12 +21,11 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "gf/bulk_ops.hpp"
-#include "util/aligned.hpp"
+#include "linalg/rref_view.hpp"
 #include "util/urbg.hpp"
 
 namespace ag::linalg {
@@ -48,37 +42,31 @@ struct BitPacket {
   }
 };
 
-/// \brief Bit-packed incremental GF(2) decoder with payload storage.
+/// \brief Incremental RREF view over GF(2) with coefficient rows packed 64
+/// bits per word; payload symbols are whole words.
 ///
-/// 64 coefficient bits per word; the workhorse for the paper's big
-/// stopping-time sweeps.  For rank-only large-n work use
-/// linalg::BitRankTracker.
-class BitDecoder {
- public:
-  using packet_type = BitPacket;
+/// Mutable = false is the read-only view (no insert()); see
+/// linalg/rref_view.hpp for the state it views and for who owns it.
+template <bool Mutable>
+class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint64_t,
+                                                BitPacket, Mutable> {
+  using Base = detail::RrefViewBase<BitRrefView, std::uint64_t, BitPacket, Mutable>;
+  friend Base;
+  using Base::kNoColumn, Base::width_, Base::pivot_row_, Base::rank_, Base::scratch_,
+      Base::row_ptr, Base::tail, Base::coeff_tail;
 
-  explicit BitDecoder(std::size_t k, std::size_t payload_words = 0)
-      : k_(k),
-        words_(words_for(k)),
-        payload_words_(payload_words),
-        row_stride_(util::round_up_elems<32, sizeof(std::uint64_t)>(
-            words_for(k) + payload_words)),
-        pivot_row_(k, npos) {
-    arena_.reserve(k_ * row_stride_);
-    scratch_.resize(row_stride_);
-  }
+ public:
+  using value_type = std::uint64_t;
+  using packet_type = BitPacket;
+  using const_view = BitRrefView<false>;
+  using Base::Base;
 
   static constexpr std::size_t words_for(std::size_t bits) noexcept {
     return (bits + 63) / 64;
   }
-
-  std::size_t message_count() const noexcept { return k_; }
-  std::size_t payload_length() const noexcept { return payload_words_; }
-  std::size_t rank() const noexcept { return rank_; }
-  bool full_rank() const noexcept { return rank_ == k_; }
-
-  /// Words per stored row: coefficient words then payload words, contiguous.
-  std::size_t stride() const noexcept { return words_ + payload_words_; }
+  static constexpr std::size_t coeff_width(std::size_t k) noexcept {
+    return words_for(k);
+  }
 
   /// Payload symbols are whole words over GF(2); any 64-bit value is valid.
   static std::uint64_t payload_symbol_from(std::uint64_t w) noexcept { return w; }
@@ -89,218 +77,107 @@ class BitDecoder {
     return static_cast<double>(k) + static_cast<double>(payload_words) * 64.0;
   }
 
-  packet_type unit_packet(std::size_t i,
-                          std::span<const std::uint64_t> payload = {}) const {
-    assert(i < k_);
-    assert(payload.size() <= payload_words_);
-    packet_type p;
-    p.coeffs.assign(words_, 0);
-    p.coeffs[i / 64] = std::uint64_t{1} << (i % 64);
-    p.payload.assign(payload.begin(), payload.end());
-    p.payload.resize(payload_words_, 0);
-    return p;
-  }
-
-  bool insert(const packet_type& pkt) {
-    assert(pkt.coeffs.size() == words_);
-    assert(pkt.payload.size() <= payload_words_);
-    // Over-long payloads assert above; in release they are clamped so the
-    // copy can never run past the stripe.
-    const std::size_t plen =
-        pkt.payload.size() < payload_words_ ? pkt.payload.size() : payload_words_;
-    std::uint64_t* row = scratch_.data();
-    std::copy(pkt.coeffs.begin(), pkt.coeffs.end(), row);
-    std::copy(pkt.payload.begin(), pkt.payload.begin() + plen, row + words_);
-    std::fill(row + words_ + plen, row + row_stride_, 0);  // incl. stride pad
+  /// Inserts a packet; returns true iff it increased the rank (was helpful).
+  bool insert(const packet_type& pkt) requires Mutable {
+    std::uint64_t* row = this->stage(pkt);
 
     // Full forward elimination: clear every set bit that collides with a
     // stored pivot (not just up to the first pivot-free column -- the stored
-    // rows must stay fully reduced for decode() to read off the RREF).  The
-    // lowest set bit with no pivot row becomes the new pivot.  Stored rows
-    // are themselves fully reduced and zero before their pivot word, so
-    // eliminating at column c XORs only the word-tail from c's word onward;
-    // pivot-free bits already seen (skip mask) are never disturbed.
-    std::size_t pivot = npos;
-    for (std::size_t w = 0; w < words_; ++w) {
+    // rows must stay fully reduced for decoded_message() to read off the
+    // RREF).  The lowest set bit with no pivot row becomes the new pivot.
+    // Stored rows are themselves fully reduced and zero before their pivot
+    // word, so eliminating at column c XORs only the word-tail from c's word
+    // onward; pivot-free bits already seen (skip mask) are never disturbed.
+    std::size_t pivot = kNoColumn;
+    for (std::size_t w = 0; w < width_; ++w) {
       std::uint64_t skip = 0;  // pivot-free bits of this word, kept as-is
       while (true) {
         const std::uint64_t active = row[w] & ~skip;
         if (active == 0) break;
         const auto bit = static_cast<std::size_t>(std::countr_zero(active));
         const std::size_t col = w * 64 + bit;
-        const std::size_t ri = pivot_row_[col];
-        if (ri == npos) {
-          if (pivot == npos) pivot = col;
+        const std::uint32_t ri = pivot_row_[col];
+        if (ri == kNoPivot) {
+          if (pivot == kNoColumn) pivot = col;
           skip |= std::uint64_t{1} << bit;
         } else {
           // Source row's first set bit is col (in word w): XOR the fused
           // [w, stride) tail -- coefficient words and payload together.
-          gf::xor_words(tail(row, w), ctail(row_ptr(ri), w));
+          gf::xor_words(tail(row, w), tail(row_ptr(ri), w));
         }
       }
     }
-    if (pivot == npos) return false;
+    if (pivot == kNoColumn) return false;
 
     // Back-eliminate this pivot from existing rows (keeps RREF).  A row with
     // this pivot bit set has its own pivot strictly below `pivot`, so its
     // prefix words are untouched.
     const std::size_t pw = pivot / 64;
     const std::uint64_t pm = std::uint64_t{1} << (pivot % 64);
-    for (std::size_t i = 0; i < rank_; ++i) {
+    for (std::uint32_t i = 0; i < *rank_; ++i) {
       std::uint64_t* r = row_ptr(i);
-      if (r[pw] & pm) gf::xor_words(tail(r, pw), ctail(row, pw));
+      if (r[pw] & pm) gf::xor_words(tail(r, pw), tail(row, pw));
     }
+    return this->append(pivot);
+  }
 
-    pivot_row_[pivot] = rank_;
-    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
-    ++rank_;
+  /// Whether `coeffs` lies in the stored row space.  Clobbers the scratch
+  /// stripe; allocates nothing.
+  bool contains(std::span<const std::uint64_t> coeffs) const {
+    assert(coeffs.size() == width_);
+    std::uint64_t* tmp = scratch_;
+    std::copy(coeffs.begin(), coeffs.end(), tmp);
+    for (std::size_t w = 0; w < width_; ++w) {
+      while (tmp[w] != 0) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(tmp[w]));
+        const std::uint32_t ri = pivot_row_[w * 64 + bit];
+        if (ri == kNoPivot) return false;
+        // Stored row ri's first set bit is this one: XOR the [w, words) tail.
+        gf::xor_words(coeff_tail(tmp, w), coeff_tail(row_ptr(ri), w));
+      }
+    }
     return true;
   }
 
-  /// Uniform random combination (each stored row joins with probability 1/2).
-  /// Random bits are drawn via util::random_bits so any URBG width is
-  /// handled; `out`'s buffers are reused -- recycling callers allocate
-  /// nothing.
+  /// Uniform random combination (each stored row joins with probability
+  /// 1/2).  Random bits are drawn via util::random_bits, 64 rows per draw,
+  /// so any URBG width is handled.
   template <typename URBG>
   bool random_combination_into(URBG& rng, packet_type& out) const {
-    if (rank_ == 0) return false;
-    out.coeffs.assign(words_, 0);
-    out.payload.assign(payload_words_, 0);
-    std::uint64_t bits = 0;
-    unsigned avail = 0;
-    for (std::size_t i = 0; i < rank_; ++i) {
+    return this->combine(out, [&rng, bits = std::uint64_t{0}, avail = 0u]() mutable {
       if (avail == 0) {
         bits = util::random_bits(rng, 64);
         avail = 64;
       }
-      const bool take = bits & 1;
+      const std::uint64_t take = bits & 1;
       bits >>= 1;
       --avail;
-      if (!take) continue;
-      const std::uint64_t* r = row_ptr(i);
-      gf::xor_words(std::span<std::uint64_t>(out.coeffs),
-                    std::span<const std::uint64_t>(r, words_));
-      gf::xor_words(std::span<std::uint64_t>(out.payload),
-                    std::span<const std::uint64_t>(r + words_, payload_words_));
-    }
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng) const {
-    packet_type out;
-    if (!random_combination_into(rng, out)) return std::nullopt;
-    return out;
+      return take;
+    });
   }
 
   /// Sparse-coding variant: each stored row joins the XOR independently with
   /// probability `density` (over GF(2) the only nonzero coefficient is 1).
   template <typename URBG>
   bool random_combination_into(URBG& rng, double density, packet_type& out) const {
-    if (rank_ == 0) return false;
-    out.coeffs.assign(words_, 0);
-    out.payload.assign(payload_words_, 0);
-    for (std::size_t i = 0; i < rank_; ++i) {
-      if (util::canonical_double(rng) >= density) continue;
-      const std::uint64_t* r = row_ptr(i);
-      gf::xor_words(std::span<std::uint64_t>(out.coeffs),
-                    std::span<const std::uint64_t>(r, words_));
-      gf::xor_words(std::span<std::uint64_t>(out.payload),
-                    std::span<const std::uint64_t>(r + words_, payload_words_));
-    }
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng, double density) const {
-    packet_type out;
-    if (!random_combination_into(rng, density, out)) return std::nullopt;
-    return out;
-  }
-
-  /// Store-and-forward variant (no recoding): a random stored row verbatim.
-  template <typename URBG>
-  bool random_stored_row_into(URBG& rng, packet_type& out) const {
-    if (rank_ == 0) return false;
-    const std::uint64_t* r = row_ptr(util::uniform_below(rng, rank_));
-    out.coeffs.assign(r, r + words_);
-    out.payload.assign(r + words_, r + words_ + payload_words_);
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_stored_row(URBG& rng) const {
-    packet_type out;
-    if (!random_stored_row_into(rng, out)) return std::nullopt;
-    return out;
-  }
-
-  bool is_helpful_node(const BitDecoder& other) const {
-    if (full_rank()) return false;
-    for (std::size_t i = 0; i < other.rank_; ++i) {
-      if (!contains({other.row_ptr(i), words_})) return true;
-    }
-    return false;
-  }
-
-  /// Whether `coeffs` lies in the row space of this decoder.  Uses a reusable
-  /// per-decoder scratch buffer; no allocation after the first call.
-  bool contains(std::span<const std::uint64_t> coeffs) const {
-    assert(coeffs.size() == words_);
-    contains_scratch_.assign(coeffs.begin(), coeffs.end());
-    std::uint64_t* tmp = contains_scratch_.data();
-    for (std::size_t w = 0; w < words_; ++w) {
-      while (tmp[w] != 0) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(tmp[w]));
-        const std::size_t col = w * 64 + bit;
-        const std::size_t ri = pivot_row_[col];
-        if (ri == npos) return false;
-        // Stored row ri's first set bit is col: XOR the [w, words) tail.
-        gf::xor_words(std::span<std::uint64_t>(tmp + w, words_ - w),
-                      std::span<const std::uint64_t>(row_ptr(ri) + w, words_ - w));
-      }
-    }
-    return true;
-  }
-
-  std::span<const std::uint64_t> decoded_message(std::size_t i) const {
-    assert(full_rank() && i < k_);
-    return {row_ptr(pivot_row_[i]) + words_, payload_words_};
+    return this->combine(out, [&] {
+      return static_cast<std::uint64_t>(util::canonical_double(rng) < density);
+    });
   }
 
  private:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  std::uint64_t* row_ptr(std::size_t i) noexcept {
-    return arena_.data() + i * row_stride_;
+  static void set_unit(std::vector<std::uint64_t>& coeffs, std::size_t i) {
+    coeffs[i / 64] = std::uint64_t{1} << (i % 64);
   }
-  const std::uint64_t* row_ptr(std::size_t i) const noexcept {
-    return arena_.data() + i * row_stride_;
+  static void add_scaled(std::span<std::uint64_t> dst, std::span<const std::uint64_t> src,
+                         std::uint64_t /*c == 1*/) noexcept {
+    gf::xor_words(dst, src);
   }
-
-  // The [w, stride) word-tail of a row stripe: coefficient words w..words_
-  // plus the payload, one contiguous span.
-  std::span<std::uint64_t> tail(std::uint64_t* row, std::size_t w) const noexcept {
-    return {row + w, stride() - w};
-  }
-  std::span<const std::uint64_t> ctail(const std::uint64_t* row, std::size_t w) const noexcept {
-    return {row + w, stride() - w};
-  }
-
-  // 32-byte-aligned storage: aligned base + padded stride keeps every row
-  // stripe on a 32-byte boundary (the SIMD kernels' fast path).
-  using aligned_vector =
-      std::vector<std::uint64_t, util::AlignedAllocator<std::uint64_t, 32>>;
-
-  std::size_t k_;
-  std::size_t words_;
-  std::size_t payload_words_;
-  std::size_t row_stride_;  // stride() padded up to a 4-word multiple
-  std::size_t rank_ = 0;
-  aligned_vector arena_;    // rank_ stripes of row_stride_ words
-  aligned_vector scratch_;  // staging stripe for insert()
-  mutable aligned_vector contains_scratch_;  // words_ words
-  std::vector<std::size_t> pivot_row_;
 };
+
+/// \brief Bit-packed GF(2) decoder with payload storage: the workhorse for
+/// the paper's big stopping-time sweeps.  For rank-only large-n work use
+/// linalg::BitRankTracker.
+using BitDecoder = detail::RrefOwner<BitRrefView<true>, false>;
 
 }  // namespace ag::linalg

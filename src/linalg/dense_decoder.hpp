@@ -1,7 +1,5 @@
 /// \file
 /// Incremental Gaussian-elimination decoder over a generic finite field.
-// ag-lint: allow-file(data-arith) -- row_ptr slices the row arena; i < rank_ <= k_ always
-// and the arena is reserved at k_ * row_stride_ symbols, so every stripe is in bounds.
 ///
 /// This is the data structure every algebraic-gossip node maintains (Section 2
 /// of the paper): a matrix of linear equations over F_q in the k unknown
@@ -10,24 +8,12 @@
 /// "helpful message" (Definition 3); otherwise it is ignored.  Once the rank
 /// reaches k the node solves the system, which in RREF is a read-off.
 ///
-/// Cost per insert: O(k * rank) field operations.  Rows are normalized
-/// (pivot = 1) and back-eliminated on insertion so that full rank implies the
-/// identity matrix and decode() is O(1) per message.
-///
-/// Storage: rows live in one flat arena, each row a contiguous
-/// [coeffs (k) | payload (r)] stripe of `stride()` symbols.  That keeps the
-/// elimination inner loops on a single cache stream, lets the coefficient
-/// tail and the payload be updated by ONE fused axpy per elimination, and
-/// means the decoder performs no steady-state allocations: the arena is
-/// reserved at full-rank capacity up front and `insert`, `contains` and the
-/// `*_into` combination builders reuse per-decoder scratch buffers.
-///
-/// The arena is 32-byte aligned and rows are laid out at a stride padded up
-/// to a 32-byte multiple (pad symbols stay zero and are never read), so every
-/// row stripe starts on a 32-byte boundary and the SIMD GF backend's vector
-/// loops (gf/backend/) never straddle a cache line at AVX2 width.  stride()
-/// keeps reporting the LOGICAL symbols per row; the padding is private
-/// layout.
+/// DenseRrefView<F, Mutable> is that state as a view, one GF(q) symbol per
+/// coefficient; DenseDecoder<F> owns one node's worth of it (the shared
+/// layout and ownership rules are in linalg/rref_view.hpp).  Rows are
+/// contiguous [coeffs (k) | payload (r)] stripes, which keeps the
+/// elimination inner loops on a single cache stream and lets the coefficient
+/// tail and the payload be updated by ONE fused axpy per elimination.
 ///
 /// Elimination exploits the RREF prefix invariant (every stored row is zero
 /// strictly before its pivot column, proved in insert() below): eliminating
@@ -40,13 +26,12 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "gf/bulk_ops.hpp"
 #include "gf/field_concept.hpp"
-#include "util/aligned.hpp"
+#include "linalg/rref_view.hpp"
 #include "util/urbg.hpp"
 
 namespace ag::linalg {
@@ -66,47 +51,31 @@ struct DensePacket {
   }
 };
 
-/// \brief Incremental RREF decoder with payload storage over field F.
+/// \brief Incremental RREF view over GF(q) symbols, one per coefficient.
 ///
-/// The full-fidelity node state: O(k * (k + payload)) symbols per node,
-/// O(k * rank) field ops per insert, O(1) decode at full rank.  For
-/// stopping-time-only sweeps at large n use linalg::DenseRankTracker.
-template <gf::GaloisField F>
-class DenseDecoder {
+/// Cost per insert: O(k * rank) field operations.  Rows are normalized
+/// (pivot = 1) and back-eliminated on insertion so that full rank implies the
+/// identity matrix and decoded_message() is a read-off.  Mutable = false is
+/// the read-only view (no insert()); see linalg/rref_view.hpp for the state
+/// it views and for who owns it.
+template <gf::GaloisField F, bool Mutable>
+class DenseRrefView : public detail::RrefViewBase<DenseRrefView<F, Mutable>,
+                                                  typename F::value_type,
+                                                  DensePacket<F>, Mutable> {
+  using Base = detail::RrefViewBase<DenseRrefView, typename F::value_type,
+                                    DensePacket<F>, Mutable>;
+  friend Base;
+  using Base::kNoColumn, Base::k_, Base::pivot_row_, Base::rank_, Base::scratch_,
+      Base::row_ptr, Base::tail, Base::coeff_tail;
+
  public:
   using field_type = F;
   using value_type = typename F::value_type;
   using packet_type = DensePacket<F>;
+  using const_view = DenseRrefView<F, false>;
+  using Base::Base;
 
-  /// k: number of unknown messages; payload_len: symbols per message payload.
-  /// The row arena is reserved at full-rank capacity so inserts never
-  /// reallocate.
-  explicit DenseDecoder(std::size_t k, std::size_t payload_len = 0)
-      : k_(k),
-        payload_len_(payload_len),
-        row_stride_(util::round_up_elems<32, sizeof(value_type)>(k + payload_len)),
-        pivot_row_(k, npos) {
-    arena_.reserve(k_ * row_stride_);
-    scratch_.resize(row_stride_);
-  }
-
-  std::size_t message_count() const noexcept { return k_; }
-  std::size_t payload_length() const noexcept { return payload_len_; }
-  std::size_t rank() const noexcept { return rank_; }
-  bool full_rank() const noexcept { return rank_ == k_; }
-
-  /// Returns the decoder to the empty state while KEEPING the arena's
-  /// capacity: the generation scheduler (src/coding/) recycles a decoded
-  /// generation's decoder for the next generation id, so the steady-state
-  /// streaming loop allocates nothing.
-  void clear() noexcept {
-    rank_ = 0;
-    arena_.clear();
-    std::fill(pivot_row_.begin(), pivot_row_.end(), npos);
-  }
-
-  /// Symbols per stored row: coefficients then payload, contiguous.
-  std::size_t stride() const noexcept { return k_ + payload_len_; }
+  static constexpr std::size_t coeff_width(std::size_t k) noexcept { return k; }
 
   /// Maps an arbitrary 64-bit word to a valid payload symbol of this field.
   static value_type payload_symbol_from(std::uint64_t w) noexcept {
@@ -114,82 +83,70 @@ class DenseDecoder {
   }
 
   /// Wire size of one coded packet (Section 2: "the length of each message is
-  /// r log2 q + k log2 q bits").
-  static double symbol_bits() noexcept { return std::log2(static_cast<double>(F::order)); }
+  /// r log2 q + k log2 q bits").  A rank tracker simulates the same packets,
+  /// so its accounting is the same although it stores no payload.
+  static double symbol_bits() noexcept {
+    return std::log2(static_cast<double>(F::order));
+  }
   static double packet_bits(std::size_t k, std::size_t payload_len) noexcept {
     return static_cast<double>(k + payload_len) * symbol_bits();
   }
 
-  /// Builds the unit equation e_i * x = payload for an initial message a node
-  /// holds at protocol start.
-  packet_type unit_packet(std::size_t i, std::span<const value_type> payload = {}) const {
-    assert(i < k_);
-    assert(payload.size() <= payload_len_);
-    packet_type p;
-    p.coeffs.assign(k_, F::zero);
-    p.coeffs[i] = F::one;
-    p.payload.assign(payload.begin(), payload.end());
-    p.payload.resize(payload_len_, F::zero);
-    return p;
-  }
-
   /// Inserts a packet; returns true iff it increased the rank (was helpful).
-  /// Payloads shorter than payload_length() are zero-padded; longer payloads
-  /// are a caller bug (they used to be silently truncated).
-  bool insert(const packet_type& pkt) {
-    assert(pkt.coeffs.size() == k_);
-    assert(pkt.payload.size() <= payload_len_);
-
-    // Stage the incoming row in the scratch stripe: [coeffs | payload].
-    // Over-long payloads assert above; in release they are clamped so the
-    // copy can never run past the stripe.
-    const std::size_t plen =
-        pkt.payload.size() < payload_len_ ? pkt.payload.size() : payload_len_;
-    value_type* row = scratch_.data();
-    std::copy(pkt.coeffs.begin(), pkt.coeffs.end(), row);
-    std::copy(pkt.payload.begin(), pkt.payload.begin() + plen, row + k_);
-    std::fill(row + k_ + plen, row + row_stride_, F::zero);  // incl. stride pad
+  /// Draws no randomness.
+  bool insert(const packet_type& pkt) requires Mutable {
+    value_type* row = this->stage(pkt);
 
     // Fused forward elimination + pivot search, left to right.  Eliminating
     // at column p uses the stored row whose pivot is p; that row is zero
     // before p (prefix invariant), so the update never reaches back before
     // p and a single pass suffices.  The first nonzero column without a
     // stored pivot is final the moment we see it.
-    std::size_t pivot = npos;
+    std::size_t pivot = kNoColumn;
     for (std::size_t p = 0; p < k_; ++p) {
       const value_type c = row[p];
       if (c == F::zero) continue;
-      const std::size_t ri = pivot_row_[p];
-      if (ri == npos) {
-        if (pivot == npos) pivot = p;
+      const std::uint32_t ri = pivot_row_[p];
+      if (ri == kNoPivot) {
+        if (pivot == kNoColumn) pivot = p;
         continue;
       }
-      // row[p..] -= c * stored[p..]  (coeff tail and payload in one axpy --
-      // the stripes are contiguous and equally laid out).
-      gf::axpy<F>(tail(row, p), ctail(row_ptr(ri), p), c);
+      // row[p..] -= c * stored[p..]: coefficient tail and payload in one axpy.
+      gf::axpy<F>(tail(row, p), tail(row_ptr(ri), p), c);
     }
-    if (pivot == npos) return false;  // linearly dependent: not helpful
+    if (pivot == kNoColumn) return false;  // linearly dependent: not helpful
 
     // Normalize so the pivot element is 1.  Everything before the pivot is
     // already zero, so scale the tail only.
-    const value_type piv_inv = F::inv(row[pivot]);
-    gf::scale<F>(tail(row, pivot), piv_inv);
+    gf::scale<F>(tail(row, pivot), F::inv(row[pivot]));
 
     // Back-eliminate this pivot from all existing rows to keep RREF.  A row
     // with a nonzero entry at `pivot` has its own pivot strictly before
     // `pivot` (its pivot column is zero in the new row after forward
     // elimination), so its prefix is untouched and the invariant holds.
-    for (std::size_t i = 0; i < rank_; ++i) {
+    for (std::uint32_t i = 0; i < *rank_; ++i) {
       value_type* r = row_ptr(i);
       const value_type c = r[pivot];
-      if (c != F::zero) gf::axpy<F>(tail(r, pivot), ctail(row, pivot), c);
+      if (c != F::zero) gf::axpy<F>(tail(r, pivot), tail(row, pivot), c);
     }
+    return this->append(pivot);
+  }
 
-    // Append the reduced row to the arena (capacity reserved up front:
-    // no reallocation, no steady-state allocation).
-    pivot_row_[pivot] = rank_;
-    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
-    ++rank_;
+  /// Whether `coeffs` lies in the stored row space.  Clobbers the scratch
+  /// stripe; allocates nothing.
+  bool contains(std::span<const value_type> coeffs) const {
+    assert(coeffs.size() == k_);
+    value_type* tmp = scratch_;
+    std::copy(coeffs.begin(), coeffs.end(), tmp);
+    for (std::size_t p = 0; p < k_; ++p) {
+      const value_type c = tmp[p];
+      if (c == F::zero) continue;
+      const std::uint32_t ri = pivot_row_[p];
+      if (ri == kNoPivot) return false;
+      // Stored row ri is zero before its pivot p (normalized to 1), so this
+      // zeroes tmp[p] and touches only the tail.
+      gf::axpy<F>(coeff_tail(tmp, p), coeff_tail(row_ptr(ri), p), c);
+    }
     return true;
   }
 
@@ -201,26 +158,9 @@ class DenseDecoder {
   /// reused: a caller that recycles the same packet allocates nothing.
   template <typename URBG>
   bool random_combination_into(URBG& rng, packet_type& out) const {
-    if (rank_ == 0) return false;
-    out.coeffs.assign(k_, F::zero);
-    out.payload.assign(payload_len_, F::zero);
-    for (std::size_t i = 0; i < rank_; ++i) {
-      const auto c = static_cast<value_type>(util::uniform_below(rng, F::order));
-      if (c == F::zero) continue;
-      const value_type* r = row_ptr(i);
-      gf::axpy<F>(std::span<value_type>(out.coeffs),
-                  std::span<const value_type>(r, k_), c);
-      gf::axpy<F>(std::span<value_type>(out.payload),
-                  std::span<const value_type>(r + k_, payload_len_), c);
-    }
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng) const {
-    packet_type out;
-    if (!random_combination_into(rng, out)) return std::nullopt;
-    return out;
+    return this->combine(out, [&] {
+      return static_cast<value_type>(util::uniform_below(rng, F::order));
+    });
   }
 
   /// Sparse-coding variant (systems extension; kodo-style density knob): each
@@ -232,115 +172,26 @@ class DenseDecoder {
   /// selected -- part of the density trade-off.
   template <typename URBG>
   bool random_combination_into(URBG& rng, double density, packet_type& out) const {
-    if (rank_ == 0) return false;
-    out.coeffs.assign(k_, F::zero);
-    out.payload.assign(payload_len_, F::zero);
-    for (std::size_t i = 0; i < rank_; ++i) {
-      if (util::canonical_double(rng) >= density) continue;
-      const auto c =
-          static_cast<value_type>(1 + util::uniform_below(rng, F::order - 1));
-      const value_type* r = row_ptr(i);
-      gf::axpy<F>(std::span<value_type>(out.coeffs),
-                  std::span<const value_type>(r, k_), c);
-      gf::axpy<F>(std::span<value_type>(out.payload),
-                  std::span<const value_type>(r + k_, payload_len_), c);
-    }
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng, double density) const {
-    packet_type out;
-    if (!random_combination_into(rng, density, out)) return std::nullopt;
-    return out;
-  }
-
-  /// Store-and-forward variant (no recoding): emits a uniformly random
-  /// *stored* equation verbatim.  This is what a node that cannot recode
-  /// (e.g. forwarding source packets only) would send; bench E15 shows why
-  /// recoding matters on multi-hop topologies.
-  template <typename URBG>
-  bool random_stored_row_into(URBG& rng, packet_type& out) const {
-    if (rank_ == 0) return false;
-    const value_type* r = row_ptr(util::uniform_below(rng, rank_));
-    out.coeffs.assign(r, r + k_);
-    out.payload.assign(r + k_, r + k_ + payload_len_);
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_stored_row(URBG& rng) const {
-    packet_type out;
-    if (!random_stored_row_into(rng, out)) return std::nullopt;
-    return out;
-  }
-
-  /// True iff a combination emitted by `other` can be helpful to us, i.e.
-  /// other's row space is not contained in ours (Definition 3: helpful node).
-  bool is_helpful_node(const DenseDecoder& other) const {
-    if (full_rank()) return false;
-    for (std::size_t i = 0; i < other.rank_; ++i) {
-      if (!contains({other.row_ptr(i), k_})) return true;
-    }
-    return false;
-  }
-
-  /// Whether `coeffs` lies in the row space of this decoder.  Uses a reusable
-  /// per-decoder scratch buffer; no allocation after the first call.
-  bool contains(std::span<const value_type> coeffs) const {
-    assert(coeffs.size() == k_);
-    contains_scratch_.assign(coeffs.begin(), coeffs.end());
-    value_type* tmp = contains_scratch_.data();
-    for (std::size_t p = 0; p < k_; ++p) {
-      const value_type c = tmp[p];
-      if (c == F::zero) continue;
-      const std::size_t ri = pivot_row_[p];
-      if (ri == npos) return false;
-      // Stored row ri is zero before its pivot p: eliminate on the tail.
-      gf::axpy<F>(std::span<value_type>(tmp + p, k_ - p),
-                  std::span<const value_type>(row_ptr(ri) + p, k_ - p), c);
-      // After elimination tmp[p] == 0 (pivot normalized to 1, c + c = 0).
-    }
-    return true;
-  }
-
-  /// Returns message i's payload; requires full rank.
-  std::span<const value_type> decoded_message(std::size_t i) const {
-    assert(full_rank() && i < k_);
-    return {row_ptr(pivot_row_[i]) + k_, payload_len_};
+    return this->combine(out, [&] {
+      if (util::canonical_double(rng) >= density) return value_type{F::zero};
+      return static_cast<value_type>(1 + util::uniform_below(rng, F::order - 1));
+    });
   }
 
  private:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  value_type* row_ptr(std::size_t i) noexcept {
-    return arena_.data() + i * row_stride_;
+  static void set_unit(std::vector<value_type>& coeffs, std::size_t i) {
+    coeffs[i] = F::one;
   }
-  const value_type* row_ptr(std::size_t i) const noexcept {
-    return arena_.data() + i * row_stride_;
+  static void add_scaled(std::span<value_type> dst, std::span<const value_type> src,
+                         value_type c) noexcept {
+    gf::axpy<F>(dst, src, c);
   }
-
-  // The [p, stride) tail of a row stripe: coefficient columns p..k plus the
-  // payload, one contiguous span.
-  std::span<value_type> tail(value_type* row, std::size_t p) const noexcept {
-    return {row + p, stride() - p};
-  }
-  std::span<const value_type> ctail(const value_type* row, std::size_t p) const noexcept {
-    return {row + p, stride() - p};
-  }
-
-  // 32-byte-aligned storage: every row stripe starts on a 32-byte boundary
-  // (aligned base + padded stride), which is the SIMD kernels' fast path.
-  using aligned_vector = std::vector<value_type, util::AlignedAllocator<value_type, 32>>;
-
-  std::size_t k_;
-  std::size_t payload_len_;
-  std::size_t row_stride_;  // stride() padded up to a 32-byte multiple
-  std::size_t rank_ = 0;
-  aligned_vector arena_;    // rank_ stripes of row_stride_ symbols
-  aligned_vector scratch_;  // staging stripe for insert()
-  mutable aligned_vector contains_scratch_;  // k_ symbols
-  std::vector<std::size_t> pivot_row_;  // pivot column -> row index, npos if none
 };
+
+/// \brief The full-fidelity node state over F: O(k * (k + payload)) symbols,
+/// O(k * rank) field operations per insert, a read-off decode at full rank.
+/// For stopping-time-only sweeps at large n use linalg::DenseRankTracker.
+template <gf::GaloisField F>
+using DenseDecoder = detail::RrefOwner<DenseRrefView<F, true>, false>;
 
 }  // namespace ag::linalg

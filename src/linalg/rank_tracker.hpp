@@ -15,842 +15,38 @@
 /// a protocol run over a rank tracker consumes the *exact same* RNG stream
 /// and produces the *exact same* insert verdicts as the same run over the
 /// corresponding full decoder (DenseRankTracker<F> vs DenseDecoder<F>,
-/// BitRankTracker vs BitDecoder).  This holds because
-///   * insert() draws no randomness in either implementation,
-///   * the combination builders draw one coefficient per stored row in the
-///     same order with the same sampler (util::uniform_below /
-///     util::random_bits batches), and payload axpys never touch the RNG.
+/// BitRankTracker vs BitDecoder).  This holds by construction: a tracker
+/// runs the decoder's own insert and transmit code (see below), insert()
+/// draws no randomness, and the transmit rules draw one coefficient per
+/// stored row in row order whatever the payload width.
 /// Stopping rounds at n where both fit in memory are therefore *equal*, not
 /// just statistically indistinguishable -- which is what lets the large-n
 /// sweep (bench/large_n_sweep) extrapolate with a clear conscience.
 ///
-/// View types: each tracker comes in three shapes sharing one state layout
-/// (row arena, pivot map, rank counter, scratch stripe):
-///   * <X>RankTrackerConstRef  -- read-only view over const state pointers;
-///     owns the whole query/combination surface.  The scratch pointer stays
-///     writable (contains() eliminates into it), but scratch is pure
-///     per-call workspace, never part of the logical decoder state.
-///   * <X>RankTrackerRef       -- mutable view adding insert(); every
-///     read-only operation delegates to its cview().  No const_cast
-///     anywhere: mutability flows from the non-const accessors that built
-///     the view.
-///   * <X>RankTracker          -- owning drop-in decoder wrapping one node's
-///     state behind ref()/cref().
-///
-/// Layout: rows are k (or words_for(k)) symbols with no padding -- rank rows
-/// are short, so 32-byte stride padding would dominate the footprint it is
-/// supposed to optimise; the SIMD kernels handle unaligned spans with a
-/// scalar tail.  For swarm-scale storage with one arena for *all* nodes and
-/// per-shard scratch stripes, see core/swarm_storage.hpp, whose pooled
-/// stores reuse these view types.
+/// A rank tracker is the decoder's own RREF view with payload width 0
+/// (linalg/rref_view.hpp).  The names below are kept for callers:
+///   * <X>RankTrackerConstRef / <X>RankTrackerRef -- the read-only and the
+///     mutable view, as the pooled stores of core/swarm_storage.hpp hand them
+///     out over one unpadded structure-of-arrays block for a whole swarm;
+///   * <X>RankTracker -- the owning drop-in decoder: the decoder's owner with
+///     its payload width pinned to 0, whatever payload length it is given.
 #pragma once
 
-#include <bit>
-#include <cassert>
-#include <cmath>
-#include <cstddef>
-#include <cstdint>
-#include <optional>
-#include <span>
-#include <vector>
-
-#include "gf/bulk_ops.hpp"
 #include "gf/field_concept.hpp"
 #include "linalg/bit_decoder.hpp"
 #include "linalg/dense_decoder.hpp"
-#include "util/urbg.hpp"
 
 namespace ag::linalg {
 
-/// Sentinel for "no stored row owns this pivot column".
-inline constexpr std::uint32_t kNoPivot = 0xFFFFFFFFu;
-
-// ---------------------------------------------------------------------------
-// DenseRankTrackerConstRef: read-only view, the shared query/combination
-// implementation.
-// ---------------------------------------------------------------------------
-
-/// \brief Read-only rank-only decoder view over a generic field F.
-///
-/// Holds const pointers into externally owned state plus one writable
-/// scratch stripe of k symbols (clobbered by contains(); see file comment).
-/// This is what a const pooled store hands out: the full query and
-/// combination surface without insert(), so const access to a swarm cannot
-/// mutate decoder state behind the completion tracking (mirroring how a
-/// const VectorNodeStore yields `const D&`).
 template <gf::GaloisField F>
-class DenseRankTrackerConstRef {
- public:
-  using field_type = F;
-  using value_type = typename F::value_type;
-  /// Same wire packet as DenseDecoder<F> so protocols interoperate; the
-  /// payload member is accepted where present but ignored, and emitted empty.
-  using packet_type = DensePacket<F>;
-
-  /// \param arena k stripes of k symbols (only the first *rank rows are live)
-  /// \param pivot_row k entries mapping pivot column -> row index (kNoPivot)
-  /// \param rank live row count
-  /// \param scratch one stripe of k symbols, clobbered by contains()
-  /// \param k number of unknown messages
-  DenseRankTrackerConstRef(const value_type* arena, const std::uint32_t* pivot_row,
-                           const std::uint32_t* rank, value_type* scratch,
-                           std::size_t k) noexcept
-      : arena_(arena), pivot_row_(pivot_row), rank_(rank), scratch_(scratch), k_(k) {}
-
-  std::size_t message_count() const noexcept { return k_; }
-  /// Rank-only: no payload is stored, whatever the swarm's payload_len.
-  std::size_t payload_length() const noexcept { return 0; }
-  std::size_t rank() const noexcept { return *rank_; }
-  bool full_rank() const noexcept { return *rank_ == k_; }
-
-  /// Symbols per stored row (coefficients only; no payload stripe).
-  std::size_t stride() const noexcept { return k_; }
-
-  /// Same symbol mapping as DenseDecoder<F> (the swarm calls this when
-  /// building unit payloads; the tracker then discards them).
-  static value_type payload_symbol_from(std::uint64_t w) noexcept {
-    return static_cast<value_type>(w % F::order);
-  }
-
-  /// Wire-size accounting mirrors DenseDecoder: the simulated protocol's
-  /// packets still carry (k + r) log2 q bits even though the rank-only
-  /// simulation does not materialise the payload.
-  static double symbol_bits() noexcept { return std::log2(static_cast<double>(F::order)); }
-  static double packet_bits(std::size_t k, std::size_t payload_len) noexcept {
-    return static_cast<double>(k + payload_len) * symbol_bits();
-  }
-
-  /// Unit equation e_i; any supplied payload is dropped (rank-only).
-  packet_type unit_packet(std::size_t i, std::span<const value_type> = {}) const {
-    assert(i < k_);
-    packet_type p;
-    p.coeffs.assign(k_, F::zero);
-    p.coeffs[i] = F::one;
-    return p;
-  }
-
-  /// RLNC transmit rule; stream-identical to DenseDecoder (one
-  /// uniform_below(F::order) draw per stored row, zero draws skipped).
-  /// `out.payload` is left empty.
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, packet_type& out) const {
-    if (*rank_ == 0) return false;
-    out.coeffs.assign(k_, F::zero);
-    out.payload.clear();
-    for (std::uint32_t i = 0; i < *rank_; ++i) {
-      const auto c = static_cast<value_type>(util::uniform_below(rng, F::order));
-      if (c == F::zero) continue;
-      gf::axpy<F>(std::span<value_type>(out.coeffs),
-                  std::span<const value_type>(row_ptr(i), k_), c);
-    }
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng) const {
-    packet_type out;
-    if (!random_combination_into(rng, out)) return std::nullopt;
-    return out;
-  }
-
-  /// Sparse-coding variant; same draw pattern as DenseDecoder's.
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, double density, packet_type& out) const {
-    if (*rank_ == 0) return false;
-    out.coeffs.assign(k_, F::zero);
-    out.payload.clear();
-    for (std::uint32_t i = 0; i < *rank_; ++i) {
-      if (util::canonical_double(rng) >= density) continue;
-      const auto c =
-          static_cast<value_type>(1 + util::uniform_below(rng, F::order - 1));
-      gf::axpy<F>(std::span<value_type>(out.coeffs),
-                  std::span<const value_type>(row_ptr(i), k_), c);
-    }
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng, double density) const {
-    packet_type out;
-    if (!random_combination_into(rng, density, out)) return std::nullopt;
-    return out;
-  }
-
-  /// No-recode variant: a random stored coefficient row verbatim.
-  template <typename URBG>
-  bool random_stored_row_into(URBG& rng, packet_type& out) const {
-    if (*rank_ == 0) return false;
-    const value_type* r = row_ptr(util::uniform_below(rng, *rank_));
-    out.coeffs.assign(r, r + k_);
-    out.payload.clear();
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_stored_row(URBG& rng) const {
-    packet_type out;
-    if (!random_stored_row_into(rng, out)) return std::nullopt;
-    return out;
-  }
-
-  /// Whether `coeffs` lies in the stored row space.  Clobbers scratch.
-  bool contains(std::span<const value_type> coeffs) const {
-    assert(coeffs.size() == k_);
-    value_type* tmp = scratch_;
-    std::copy(coeffs.begin(), coeffs.end(), tmp);
-    for (std::size_t p = 0; p < k_; ++p) {
-      const value_type c = tmp[p];
-      if (c == F::zero) continue;
-      const std::uint32_t ri = pivot_row_[p];
-      if (ri == kNoPivot) return false;
-      gf::axpy<F>(std::span<value_type>(tmp + p, k_ - p),
-                  std::span<const value_type>(row_ptr(ri) + p, k_ - p), c);
-    }
-    return true;
-  }
-
-  /// Definition 3 (helpful node) against any tracker/decoder exposing
-  /// rank() and row access via contains-compatible coefficient rows.
-  template <typename Other>
-  bool is_helpful_node(const Other& other) const {
-    if (full_rank()) return false;
-    for (std::size_t i = 0; i < other.rank(); ++i) {
-      if (!contains(other.stored_coeff_row(i))) return true;
-    }
-    return false;
-  }
-
-  /// Stored coefficient row i (for differential tests / is_helpful_node).
-  std::span<const value_type> stored_coeff_row(std::size_t i) const {
-    assert(i < *rank_);
-    return {row_ptr(i), k_};
-  }
-
-  /// Rank-only: there is no payload to decode.  Returns an empty span so
-  /// RlncSwarm::decodes_correctly degenerates to the full-rank check.
-  std::span<const value_type> decoded_message(std::size_t i) const {
-    assert(full_rank() && i < k_);
-    (void)i;
-    return {};
-  }
-
- private:
-  const value_type* row_ptr(std::size_t i) const noexcept { return arena_ + i * k_; }
-
-  const value_type* arena_;
-  const std::uint32_t* pivot_row_;
-  const std::uint32_t* rank_;
-  value_type* scratch_;
-  std::size_t k_;
-};
-
-// ---------------------------------------------------------------------------
-// DenseRankTrackerRef: mutable view adding insert().
-// ---------------------------------------------------------------------------
-
-/// \brief Non-owning mutable rank-only decoder view over a generic field F.
-///
-/// Operates on externally owned memory: a row arena of k stripes of k
-/// symbols, a pivot map, a rank counter, and a scratch stripe (clobbered by
-/// insert()/contains(); the pooled stores hand each shard its own stripe so
-/// concurrent shards never share one).  DenseRankTracker wraps one node's
-/// worth of this state; core/swarm_storage.hpp's pooled store hands out refs
-/// into one structure-of-arrays block for a whole swarm.  Every read-only
-/// operation delegates to cview().
+using DenseRankTrackerConstRef = DenseRrefView<F, false>;
 template <gf::GaloisField F>
-class DenseRankTrackerRef {
- public:
-  using field_type = F;
-  using value_type = typename F::value_type;
-  using packet_type = DensePacket<F>;
-  using const_view_type = DenseRankTrackerConstRef<F>;
-
-  /// \param arena k stripes of k symbols (only the first *rank rows are live)
-  /// \param pivot_row k entries mapping pivot column -> row index (kNoPivot)
-  /// \param rank live row count, updated by insert()
-  /// \param scratch one stripe of k symbols, clobbered by insert()/contains()
-  /// \param k number of unknown messages
-  DenseRankTrackerRef(value_type* arena, std::uint32_t* pivot_row,
-                      std::uint32_t* rank, value_type* scratch,
-                      std::size_t k) noexcept
-      : arena_(arena), pivot_row_(pivot_row), rank_(rank), scratch_(scratch), k_(k) {}
-
-  /// The read-only view over the same state (same scratch stripe).
-  const_view_type cview() const noexcept {
-    return const_view_type(arena_, pivot_row_, rank_, scratch_, k_);
-  }
-
-  std::size_t message_count() const noexcept { return k_; }
-  std::size_t payload_length() const noexcept { return 0; }
-  std::size_t rank() const noexcept { return *rank_; }
-  bool full_rank() const noexcept { return *rank_ == k_; }
-  std::size_t stride() const noexcept { return k_; }
-
-  static value_type payload_symbol_from(std::uint64_t w) noexcept {
-    return const_view_type::payload_symbol_from(w);
-  }
-  static double symbol_bits() noexcept { return const_view_type::symbol_bits(); }
-  static double packet_bits(std::size_t k, std::size_t payload_len) noexcept {
-    return const_view_type::packet_bits(k, payload_len);
-  }
-
-  packet_type unit_packet(std::size_t i, std::span<const value_type> p = {}) const {
-    return cview().unit_packet(i, p);
-  }
-
-  /// Inserts a packet's coefficient row; returns true iff it increased the
-  /// rank (the packet was helpful).  Identical verdict to DenseDecoder<F>
-  /// fed the same sequence; draws no randomness.  pkt.payload is ignored.
-  bool insert(const packet_type& pkt) {
-    assert(pkt.coeffs.size() == k_);
-    value_type* row = scratch_;
-    std::copy(pkt.coeffs.begin(), pkt.coeffs.end(), row);
-
-    // Fused forward elimination + pivot search (the DenseDecoder algorithm
-    // restricted to the coefficient prefix; see dense_decoder.hpp for the
-    // RREF prefix-invariant argument).
-    std::size_t pivot = npos;
-    for (std::size_t p = 0; p < k_; ++p) {
-      const value_type c = row[p];
-      if (c == F::zero) continue;
-      const std::uint32_t ri = pivot_row_[p];
-      if (ri == kNoPivot) {
-        if (pivot == npos) pivot = p;
-        continue;
-      }
-      gf::axpy<F>(std::span<value_type>(row + p, k_ - p),
-                  std::span<const value_type>(row_ptr(ri) + p, k_ - p), c);
-    }
-    if (pivot == npos) return false;  // linearly dependent: not helpful
-
-    const value_type piv_inv = F::inv(row[pivot]);
-    gf::scale<F>(std::span<value_type>(row + pivot, k_ - pivot), piv_inv);
-
-    for (std::uint32_t i = 0; i < *rank_; ++i) {
-      value_type* r = row_ptr(i);
-      const value_type c = r[pivot];
-      if (c != F::zero) {
-        gf::axpy<F>(std::span<value_type>(r + pivot, k_ - pivot),
-                    std::span<const value_type>(row + pivot, k_ - pivot), c);
-      }
-    }
-
-    pivot_row_[pivot] = *rank_;
-    std::copy(row, row + k_, row_ptr(*rank_));
-    ++*rank_;
-    return true;
-  }
-
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, packet_type& out) const {
-    return cview().random_combination_into(rng, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng) const {
-    return cview().random_combination(rng);
-  }
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, double density, packet_type& out) const {
-    return cview().random_combination_into(rng, density, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng, double density) const {
-    return cview().random_combination(rng, density);
-  }
-  template <typename URBG>
-  bool random_stored_row_into(URBG& rng, packet_type& out) const {
-    return cview().random_stored_row_into(rng, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_stored_row(URBG& rng) const {
-    return cview().random_stored_row(rng);
-  }
-
-  bool contains(std::span<const value_type> coeffs) const { return cview().contains(coeffs); }
-  template <typename Other>
-  bool is_helpful_node(const Other& other) const { return cview().is_helpful_node(other); }
-  std::span<const value_type> stored_coeff_row(std::size_t i) const {
-    return cview().stored_coeff_row(i);
-  }
-  std::span<const value_type> decoded_message(std::size_t i) const {
-    return cview().decoded_message(i);
-  }
-
- private:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  value_type* row_ptr(std::size_t i) const noexcept { return arena_ + i * k_; }
-
-  value_type* arena_;
-  std::uint32_t* pivot_row_;
-  std::uint32_t* rank_;
-  value_type* scratch_;
-  std::size_t k_;
-};
-
-/// \brief Owning rank-only decoder over F: a drop-in decoder type.
-///
-/// `RlncSwarm<DenseRankTracker<F>>` runs any algebraic-gossip protocol with
-/// O(k^2) memory per node and no payload arena; stopping rounds equal the
-/// full DenseDecoder<F> run bit for bit (see file comment).  The constructor
-/// accepts (and ignores) a payload length so it is signature-compatible with
-/// the decoder it replaces.
+using DenseRankTrackerRef = DenseRrefView<F, true>;
 template <gf::GaloisField F>
-class DenseRankTracker {
- public:
-  using field_type = F;
-  using value_type = typename F::value_type;
-  using packet_type = DensePacket<F>;
-  using ref_type = DenseRankTrackerRef<F>;
-  using const_ref_type = DenseRankTrackerConstRef<F>;
+using DenseRankTracker = detail::RrefOwner<DenseRrefView<F, true>, true>;
 
-  explicit DenseRankTracker(std::size_t k, std::size_t /*payload_len*/ = 0)
-      : k_(k), arena_(k * k, F::zero), scratch_(k, F::zero),
-        pivot_row_(k, kNoPivot) {}
-
-  std::size_t message_count() const noexcept { return k_; }
-  std::size_t payload_length() const noexcept { return 0; }
-  std::size_t rank() const noexcept { return rank_; }
-  bool full_rank() const noexcept { return rank_ == k_; }
-  std::size_t stride() const noexcept { return k_; }
-
-  static value_type payload_symbol_from(std::uint64_t w) noexcept {
-    return ref_type::payload_symbol_from(w);
-  }
-  static double symbol_bits() noexcept { return ref_type::symbol_bits(); }
-  static double packet_bits(std::size_t k, std::size_t payload_len) noexcept {
-    return ref_type::packet_bits(k, payload_len);
-  }
-
-  packet_type unit_packet(std::size_t i, std::span<const value_type> payload = {}) const {
-    return cref().unit_packet(i, payload);
-  }
-  bool insert(const packet_type& pkt) { return ref().insert(pkt); }
-
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, packet_type& out) const {
-    return cref().random_combination_into(rng, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng) const {
-    return cref().random_combination(rng);
-  }
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, double density, packet_type& out) const {
-    return cref().random_combination_into(rng, density, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng, double density) const {
-    return cref().random_combination(rng, density);
-  }
-  template <typename URBG>
-  bool random_stored_row_into(URBG& rng, packet_type& out) const {
-    return cref().random_stored_row_into(rng, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_stored_row(URBG& rng) const {
-    return cref().random_stored_row(rng);
-  }
-
-  bool contains(std::span<const value_type> coeffs) const { return cref().contains(coeffs); }
-  template <typename Other>
-  bool is_helpful_node(const Other& other) const { return cref().is_helpful_node(other); }
-  std::span<const value_type> stored_coeff_row(std::size_t i) const {
-    return cref().stored_coeff_row(i);
-  }
-  std::span<const value_type> decoded_message(std::size_t i) const {
-    return cref().decoded_message(i);
-  }
-
- private:
-  // The views are rebuilt per call: vector data pointers are stable between
-  // calls but not across moves of *this, so caching one would be a bug.
-  // Mutability flows from the accessor: ref() is non-const because insert()
-  // mutates, cref() is const and only hands out the scratch stripe (pure
-  // per-call workspace, hence the `mutable` on scratch_ alone).
-  ref_type ref() noexcept {
-    return ref_type(arena_.data(), pivot_row_.data(), &rank_, scratch_.data(), k_);
-  }
-  const_ref_type cref() const noexcept {
-    return const_ref_type(arena_.data(), pivot_row_.data(), &rank_, scratch_.data(), k_);
-  }
-
-  std::size_t k_;
-  std::uint32_t rank_ = 0;
-  std::vector<value_type> arena_;
-  mutable std::vector<value_type> scratch_;  // clobbered by const contains()
-  std::vector<std::uint32_t> pivot_row_;
-};
-
-// ---------------------------------------------------------------------------
-// Bit-packed GF(2) specialisation.
-// ---------------------------------------------------------------------------
-
-/// \brief Read-only bit-packed GF(2) rank tracker view (no insert(); see
-/// DenseRankTrackerConstRef for the rationale).
-class BitRankTrackerConstRef {
- public:
-  using packet_type = BitPacket;
-
-  BitRankTrackerConstRef(const std::uint64_t* arena, const std::uint32_t* pivot_row,
-                         const std::uint32_t* rank, std::uint64_t* scratch,
-                         std::size_t k) noexcept
-      : arena_(arena), pivot_row_(pivot_row), rank_(rank), scratch_(scratch),
-        k_(k), words_(BitDecoder::words_for(k)) {}
-
-  std::size_t message_count() const noexcept { return k_; }
-  std::size_t payload_length() const noexcept { return 0; }
-  std::size_t rank() const noexcept { return *rank_; }
-  bool full_rank() const noexcept { return *rank_ == k_; }
-  std::size_t stride() const noexcept { return words_; }
-
-  static std::uint64_t payload_symbol_from(std::uint64_t w) noexcept { return w; }
-  static double symbol_bits() noexcept { return 64.0; }
-  static double packet_bits(std::size_t k, std::size_t payload_words) noexcept {
-    return static_cast<double>(k) + static_cast<double>(payload_words) * 64.0;
-  }
-
-  packet_type unit_packet(std::size_t i, std::span<const std::uint64_t> = {}) const {
-    assert(i < k_);
-    packet_type p;
-    p.coeffs.assign(words_, 0);
-    p.coeffs[i / 64] = std::uint64_t{1} << (i % 64);
-    return p;
-  }
-
-  /// Uniform GF(2) combination; bit-batching identical to BitDecoder
-  /// (util::random_bits(rng, 64) refilled every 64 rows).
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, packet_type& out) const {
-    if (*rank_ == 0) return false;
-    out.coeffs.assign(words_, 0);
-    out.payload.clear();
-    std::uint64_t bits = 0;
-    unsigned avail = 0;
-    for (std::uint32_t i = 0; i < *rank_; ++i) {
-      if (avail == 0) {
-        bits = util::random_bits(rng, 64);
-        avail = 64;
-      }
-      const bool take = bits & 1;
-      bits >>= 1;
-      --avail;
-      if (!take) continue;
-      gf::xor_words(std::span<std::uint64_t>(out.coeffs),
-                    std::span<const std::uint64_t>(row_ptr(i), words_));
-    }
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng) const {
-    packet_type out;
-    if (!random_combination_into(rng, out)) return std::nullopt;
-    return out;
-  }
-
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, double density, packet_type& out) const {
-    if (*rank_ == 0) return false;
-    out.coeffs.assign(words_, 0);
-    out.payload.clear();
-    for (std::uint32_t i = 0; i < *rank_; ++i) {
-      if (util::canonical_double(rng) >= density) continue;
-      gf::xor_words(std::span<std::uint64_t>(out.coeffs),
-                    std::span<const std::uint64_t>(row_ptr(i), words_));
-    }
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng, double density) const {
-    packet_type out;
-    if (!random_combination_into(rng, density, out)) return std::nullopt;
-    return out;
-  }
-
-  template <typename URBG>
-  bool random_stored_row_into(URBG& rng, packet_type& out) const {
-    if (*rank_ == 0) return false;
-    const std::uint64_t* r = row_ptr(util::uniform_below(rng, *rank_));
-    out.coeffs.assign(r, r + words_);
-    out.payload.clear();
-    return true;
-  }
-
-  template <typename URBG>
-  std::optional<packet_type> random_stored_row(URBG& rng) const {
-    packet_type out;
-    if (!random_stored_row_into(rng, out)) return std::nullopt;
-    return out;
-  }
-
-  bool contains(std::span<const std::uint64_t> coeffs) const {
-    assert(coeffs.size() == words_);
-    std::uint64_t* tmp = scratch_;
-    std::copy(coeffs.begin(), coeffs.end(), tmp);
-    for (std::size_t w = 0; w < words_; ++w) {
-      while (tmp[w] != 0) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(tmp[w]));
-        const std::size_t col = w * 64 + bit;
-        const std::uint32_t ri = pivot_row_[col];
-        if (ri == kNoPivot) return false;
-        gf::xor_words(std::span<std::uint64_t>(tmp + w, words_ - w),
-                      std::span<const std::uint64_t>(row_ptr(ri) + w, words_ - w));
-      }
-    }
-    return true;
-  }
-
-  template <typename Other>
-  bool is_helpful_node(const Other& other) const {
-    if (full_rank()) return false;
-    for (std::size_t i = 0; i < other.rank(); ++i) {
-      if (!contains(other.stored_coeff_row(i))) return true;
-    }
-    return false;
-  }
-
-  std::span<const std::uint64_t> stored_coeff_row(std::size_t i) const {
-    assert(i < *rank_);
-    return {row_ptr(i), words_};
-  }
-
-  std::span<const std::uint64_t> decoded_message(std::size_t i) const {
-    assert(full_rank() && i < k_);
-    (void)i;
-    return {};
-  }
-
- private:
-  const std::uint64_t* row_ptr(std::size_t i) const noexcept { return arena_ + i * words_; }
-
-  const std::uint64_t* arena_;
-  const std::uint32_t* pivot_row_;
-  const std::uint32_t* rank_;
-  std::uint64_t* scratch_;
-  std::size_t k_;
-  std::size_t words_;
-};
-
-/// \brief Non-owning mutable bit-packed GF(2) rank tracker view.
-///
-/// The large-n workhorse: a k = 32 tracker is one 64-bit word per row.
-/// Same external-memory design as DenseRankTrackerRef; word layout and
-/// elimination mirror BitDecoder restricted to the coefficient words.
-/// Read-only operations delegate to cview().
-class BitRankTrackerRef {
- public:
-  using packet_type = BitPacket;
-  using const_view_type = BitRankTrackerConstRef;
-
-  BitRankTrackerRef(std::uint64_t* arena, std::uint32_t* pivot_row,
-                    std::uint32_t* rank, std::uint64_t* scratch,
-                    std::size_t k) noexcept
-      : arena_(arena), pivot_row_(pivot_row), rank_(rank), scratch_(scratch),
-        k_(k), words_(BitDecoder::words_for(k)) {}
-
-  /// The read-only view over the same state (same scratch stripe).
-  const_view_type cview() const noexcept {
-    return const_view_type(arena_, pivot_row_, rank_, scratch_, k_);
-  }
-
-  std::size_t message_count() const noexcept { return k_; }
-  std::size_t payload_length() const noexcept { return 0; }
-  std::size_t rank() const noexcept { return *rank_; }
-  bool full_rank() const noexcept { return *rank_ == k_; }
-  std::size_t stride() const noexcept { return words_; }
-
-  static std::uint64_t payload_symbol_from(std::uint64_t w) noexcept { return w; }
-  static double symbol_bits() noexcept { return BitRankTrackerConstRef::symbol_bits(); }
-  static double packet_bits(std::size_t k, std::size_t payload_words) noexcept {
-    return BitRankTrackerConstRef::packet_bits(k, payload_words);
-  }
-
-  packet_type unit_packet(std::size_t i, std::span<const std::uint64_t> p = {}) const {
-    return cview().unit_packet(i, p);
-  }
-
-  /// Helpfulness verdict identical to BitDecoder's; payload ignored.
-  bool insert(const packet_type& pkt) {
-    assert(pkt.coeffs.size() == words_);
-    std::uint64_t* row = scratch_;
-    std::copy(pkt.coeffs.begin(), pkt.coeffs.end(), row);
-
-    std::size_t pivot = npos;
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t skip = 0;
-      while (true) {
-        const std::uint64_t active = row[w] & ~skip;
-        if (active == 0) break;
-        const auto bit = static_cast<std::size_t>(std::countr_zero(active));
-        const std::size_t col = w * 64 + bit;
-        const std::uint32_t ri = pivot_row_[col];
-        if (ri == kNoPivot) {
-          if (pivot == npos) pivot = col;
-          skip |= std::uint64_t{1} << bit;
-        } else {
-          gf::xor_words(std::span<std::uint64_t>(row + w, words_ - w),
-                        std::span<const std::uint64_t>(row_ptr(ri) + w, words_ - w));
-        }
-      }
-    }
-    if (pivot == npos) return false;
-
-    const std::size_t pw = pivot / 64;
-    const std::uint64_t pm = std::uint64_t{1} << (pivot % 64);
-    for (std::uint32_t i = 0; i < *rank_; ++i) {
-      std::uint64_t* r = row_ptr(i);
-      if (r[pw] & pm) {
-        gf::xor_words(std::span<std::uint64_t>(r + pw, words_ - pw),
-                      std::span<const std::uint64_t>(row + pw, words_ - pw));
-      }
-    }
-
-    pivot_row_[pivot] = *rank_;
-    std::copy(row, row + words_, row_ptr(*rank_));
-    ++*rank_;
-    return true;
-  }
-
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, packet_type& out) const {
-    return cview().random_combination_into(rng, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng) const {
-    return cview().random_combination(rng);
-  }
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, double density, packet_type& out) const {
-    return cview().random_combination_into(rng, density, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng, double density) const {
-    return cview().random_combination(rng, density);
-  }
-  template <typename URBG>
-  bool random_stored_row_into(URBG& rng, packet_type& out) const {
-    return cview().random_stored_row_into(rng, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_stored_row(URBG& rng) const {
-    return cview().random_stored_row(rng);
-  }
-
-  bool contains(std::span<const std::uint64_t> coeffs) const {
-    return cview().contains(coeffs);
-  }
-  template <typename Other>
-  bool is_helpful_node(const Other& other) const { return cview().is_helpful_node(other); }
-  std::span<const std::uint64_t> stored_coeff_row(std::size_t i) const {
-    return cview().stored_coeff_row(i);
-  }
-  std::span<const std::uint64_t> decoded_message(std::size_t i) const {
-    return cview().decoded_message(i);
-  }
-
- private:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  std::uint64_t* row_ptr(std::size_t i) const noexcept { return arena_ + i * words_; }
-
-  std::uint64_t* arena_;
-  std::uint32_t* pivot_row_;
-  std::uint32_t* rank_;
-  std::uint64_t* scratch_;
-  std::size_t k_;
-  std::size_t words_;
-};
-
-/// \brief Owning bit-packed GF(2) rank tracker: drop-in for BitDecoder in
-/// any swarm or protocol, at k * words_for(k) words per node.
-class BitRankTracker {
- public:
-  using packet_type = BitPacket;
-  using ref_type = BitRankTrackerRef;
-  using const_ref_type = BitRankTrackerConstRef;
-
-  explicit BitRankTracker(std::size_t k, std::size_t /*payload_words*/ = 0)
-      : k_(k), words_(BitDecoder::words_for(k)), arena_(k * words_, 0),
-        scratch_(words_, 0), pivot_row_(k, kNoPivot) {}
-
-  static constexpr std::size_t words_for(std::size_t bits) noexcept {
-    return BitDecoder::words_for(bits);
-  }
-
-  std::size_t message_count() const noexcept { return k_; }
-  std::size_t payload_length() const noexcept { return 0; }
-  std::size_t rank() const noexcept { return rank_; }
-  bool full_rank() const noexcept { return rank_ == k_; }
-  std::size_t stride() const noexcept { return words_; }
-
-  static std::uint64_t payload_symbol_from(std::uint64_t w) noexcept { return w; }
-  static double symbol_bits() noexcept { return BitRankTrackerRef::symbol_bits(); }
-  static double packet_bits(std::size_t k, std::size_t payload_words) noexcept {
-    return BitRankTrackerRef::packet_bits(k, payload_words);
-  }
-
-  packet_type unit_packet(std::size_t i, std::span<const std::uint64_t> payload = {}) const {
-    return cref().unit_packet(i, payload);
-  }
-  bool insert(const packet_type& pkt) { return ref().insert(pkt); }
-
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, packet_type& out) const {
-    return cref().random_combination_into(rng, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng) const {
-    return cref().random_combination(rng);
-  }
-  template <typename URBG>
-  bool random_combination_into(URBG& rng, double density, packet_type& out) const {
-    return cref().random_combination_into(rng, density, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_combination(URBG& rng, double density) const {
-    return cref().random_combination(rng, density);
-  }
-  template <typename URBG>
-  bool random_stored_row_into(URBG& rng, packet_type& out) const {
-    return cref().random_stored_row_into(rng, out);
-  }
-  template <typename URBG>
-  std::optional<packet_type> random_stored_row(URBG& rng) const {
-    return cref().random_stored_row(rng);
-  }
-
-  bool contains(std::span<const std::uint64_t> coeffs) const {
-    return cref().contains(coeffs);
-  }
-  template <typename Other>
-  bool is_helpful_node(const Other& other) const { return cref().is_helpful_node(other); }
-  std::span<const std::uint64_t> stored_coeff_row(std::size_t i) const {
-    return cref().stored_coeff_row(i);
-  }
-  std::span<const std::uint64_t> decoded_message(std::size_t i) const {
-    return cref().decoded_message(i);
-  }
-
- private:
-  // Views are rebuilt per call (data pointers are not stable across moves of
-  // *this).  ref() is non-const because insert() mutates; cref() is const
-  // and only hands out the scratch stripe, which is pure per-call workspace
-  // (hence the `mutable` on scratch_ alone).
-  ref_type ref() noexcept {
-    return ref_type(arena_.data(), pivot_row_.data(), &rank_, scratch_.data(), k_);
-  }
-  const_ref_type cref() const noexcept {
-    return const_ref_type(arena_.data(), pivot_row_.data(), &rank_, scratch_.data(), k_);
-  }
-
-  std::size_t k_;
-  std::size_t words_;
-  std::uint32_t rank_ = 0;
-  std::vector<std::uint64_t> arena_;
-  mutable std::vector<std::uint64_t> scratch_;  // clobbered by const contains()
-  std::vector<std::uint32_t> pivot_row_;
-};
+using BitRankTrackerConstRef = BitRrefView<false>;
+using BitRankTrackerRef = BitRrefView<true>;
+using BitRankTracker = detail::RrefOwner<BitRrefView<true>, true>;
 
 }  // namespace ag::linalg

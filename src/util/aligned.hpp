@@ -4,8 +4,13 @@
 // unaligned loads/stores -- but a 32-byte-aligned row never straddles a cache
 // line at AVX2 width, so the decoders allocate their arenas through this
 // allocator and pad the row stride to a 32-byte multiple (see
-// linalg/dense_decoder.hpp): every row stripe then starts on a 32-byte
+// linalg/rref_view.hpp): every row stripe then starts on a 32-byte
 // boundary and the elimination axpys run on the aligned fast path.
+//
+// Value-less construction default-initialises: sizing a vector of trivial
+// elements (`vector(n)`, `resize(n)`) allocates without writing a byte, so a
+// decoder's full-rank arena costs no page faults until rows land in it.
+// Pass an explicit value (`vector(n, T{})`) where zeros are wanted.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +44,10 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t n) noexcept {
     ::operator delete(p, n * sizeof(T), std::align_val_t{Align});
+  }
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
   }
 
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) noexcept {

@@ -10,7 +10,10 @@
 //     makes whole protocol runs match round for round.
 //   * Pooled storage: the structure-of-arrays stores (swarm_storage.hpp)
 //     must behave exactly like per-node tracker objects, including churn
-//     resets.
+//     resets, at the word and 32-byte boundaries of k.
+//   * Recycling: a cleared owner or a reset pooled node replays an insert
+//     stream exactly like a fresh decoder; VectorNodeStore's footprint is
+//     exact.
 //   * Golden-trace rerun: the pinned pre-refactor stopping-round vectors of
 //     test_golden_traces must be reproduced by rank-only swarms -- including
 //     a payload-carrying GF(256) config, because rank evolution is payload-
@@ -18,12 +21,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/decoders.hpp"
 #include "core/dissemination.hpp"
 #include "core/experiment.hpp"
 #include "core/parallel_experiment.hpp"
+#include "core/swarm.hpp"
 #include "core/swarm_storage.hpp"
 #include "core/uniform_ag.hpp"
 #include "gf/gf2.hpp"
@@ -199,57 +204,180 @@ TEST(RankTracker, BitCombinationStreamMatchesBitDecoder) {
 // ---------------------------------------------------------------------------
 
 TEST(RankStore, PooledBitStoreMatchesStandaloneTrackers) {
-  const std::size_t n = 7, k = 40;
-  core::BitRankStore pool(n, k, 0);
-  std::vector<linalg::BitRankTracker> solo;
-  for (std::size_t v = 0; v < n; ++v) solo.emplace_back(k);
+  // Word-boundary k: the pooled views run unpadded rows of words_for(k)
+  // words, the owners padded ones, so the tail arithmetic differs there.
+  for (const std::size_t k : {1, 63, 64, 65, 130}) {
+    SCOPED_TRACE(k);
+    const std::size_t n = 7;
+    core::BitRankStore pool(n, k, 0);
+    std::vector<linalg::BitRankTracker> solo;
+    for (std::size_t v = 0; v < n; ++v) solo.emplace_back(k);
 
-  sim::Rng rng(55);
-  const std::size_t words = linalg::BitDecoder::words_for(k);
-  for (int step = 0; step < 500; ++step) {
-    const auto v = static_cast<graph::NodeId>(util::uniform_below(rng, n));
-    linalg::BitPacket pkt;
-    pkt.coeffs.resize(words);
-    for (auto& w : pkt.coeffs) w = util::random_bits(rng, 64);
-    pkt.coeffs[words - 1] &= (std::uint64_t{1} << (k % 64)) - 1;
-    ASSERT_EQ(pool.at(v).insert(pkt), solo[v].insert(pkt)) << "step " << step;
-    ASSERT_EQ(pool.at(v).rank(), solo[v].rank());
-    if (step == 250) {  // churn: one node loses everything
-      pool.reset(3);
-      solo[3] = linalg::BitRankTracker(k);
-      ASSERT_EQ(pool.at(3).rank(), 0u);
+    sim::Rng rng(55);
+    const std::size_t words = linalg::BitDecoder::words_for(k);
+    for (int step = 0; step < 500; ++step) {
+      const auto v = static_cast<graph::NodeId>(util::uniform_below(rng, n));
+      linalg::BitPacket pkt;
+      pkt.coeffs.resize(words);
+      for (auto& w : pkt.coeffs) w = util::random_bits(rng, 64);
+      pkt.coeffs[words - 1] &=
+          (k % 64) ? ((std::uint64_t{1} << (k % 64)) - 1) : ~std::uint64_t{0};
+      ASSERT_EQ(pool.at(v).insert(pkt), solo[v].insert(pkt)) << "step " << step;
+      ASSERT_EQ(pool.at(v).rank(), solo[v].rank());
+      if (step == 250) {  // churn: one node loses everything
+        pool.reset(3);
+        solo[3] = linalg::BitRankTracker(k);
+        ASSERT_EQ(pool.at(3).rank(), 0u);
+      }
     }
-  }
-  // Combination outputs from pool refs match the standalone trackers.
-  for (std::size_t v = 0; v < n; ++v) {
-    sim::Rng ra(v + 1), rb(v + 1);
-    linalg::BitPacket pa, pb;
-    ASSERT_EQ(pool.at(static_cast<graph::NodeId>(v)).random_combination_into(ra, pa),
-              solo[v].random_combination_into(rb, pb));
-    EXPECT_EQ(pa.coeffs, pb.coeffs);
+    // Combination outputs from pool refs match the standalone trackers.
+    for (std::size_t v = 0; v < n; ++v) {
+      sim::Rng ra(v + 1), rb(v + 1);
+      linalg::BitPacket pa, pb;
+      ASSERT_EQ(pool.at(static_cast<graph::NodeId>(v)).random_combination_into(ra, pa),
+                solo[v].random_combination_into(rb, pb));
+      EXPECT_EQ(pa.coeffs, pb.coeffs);
+    }
   }
 }
 
 TEST(RankStore, PooledDenseStoreMatchesStandaloneTrackers) {
-  const std::size_t n = 5, k = 10;
-  core::DenseRankStore<gf::GF256> pool(n, k, 0);
-  std::vector<linalg::DenseRankTracker<gf::GF256>> solo;
-  for (std::size_t v = 0; v < n; ++v) solo.emplace_back(k);
+  // 32-byte boundary k: owners pad GF(256) rows to 32 symbols, pools do not.
+  for (const std::size_t k : {1, 31, 32, 33}) {
+    SCOPED_TRACE(k);
+    const std::size_t n = 5;
+    core::DenseRankStore<gf::GF256> pool(n, k, 0);
+    std::vector<linalg::DenseRankTracker<gf::GF256>> solo;
+    for (std::size_t v = 0; v < n; ++v) solo.emplace_back(k);
 
-  sim::Rng rng(66);
-  for (int step = 0; step < 300; ++step) {
-    const auto v = static_cast<graph::NodeId>(util::uniform_below(rng, n));
-    linalg::DensePacket<gf::GF256> pkt;
-    pkt.coeffs.resize(k);
-    for (auto& c : pkt.coeffs)
-      c = static_cast<std::uint8_t>(util::uniform_below(rng, 256));
-    ASSERT_EQ(pool.at(v).insert(pkt), solo[v].insert(pkt)) << "step " << step;
-    ASSERT_EQ(pool.at(v).rank(), solo[v].rank());
-    if (step == 150) {
-      pool.reset(2);
-      solo[2] = linalg::DenseRankTracker<gf::GF256>(k);
+    sim::Rng rng(66);
+    for (int step = 0; step < 300; ++step) {
+      const auto v = static_cast<graph::NodeId>(util::uniform_below(rng, n));
+      linalg::DensePacket<gf::GF256> pkt;
+      pkt.coeffs.resize(k);
+      for (auto& c : pkt.coeffs)
+        c = static_cast<std::uint8_t>(util::uniform_below(rng, 256));
+      ASSERT_EQ(pool.at(v).insert(pkt), solo[v].insert(pkt)) << "step " << step;
+      ASSERT_EQ(pool.at(v).rank(), solo[v].rank());
+      if (step == 150) {
+        pool.reset(2);
+        solo[2] = linalg::DenseRankTracker<gf::GF256>(k);
+      }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Recycling: clear() on every owner and reset(v) on both pooled stores must
+// leave exactly the state of a fresh decoder.
+// ---------------------------------------------------------------------------
+
+// A random insert stream for decoders of D's representation: fresh random
+// rows, every fourth one a repeat (so some verdicts are "not helpful"), all
+// carrying `r` payload symbols (rank trackers drop them).
+template <typename D>
+std::vector<typename D::packet_type> random_stream(std::size_t k, std::size_t r,
+                                                   std::uint64_t seed) {
+  using Packet = typename D::packet_type;
+  sim::Rng rng(seed);
+  std::vector<Packet> stream;
+  for (std::size_t step = 0; step < 3 * k + 4; ++step) {
+    if (step % 4 == 3) {
+      stream.push_back(stream[util::uniform_below(rng, stream.size())]);
+      continue;
+    }
+    Packet p;
+    if constexpr (std::is_same_v<Packet, linalg::BitPacket>) {
+      p.coeffs.resize(linalg::BitDecoder::words_for(k));
+      for (auto& w : p.coeffs) w = util::random_bits(rng, 64);
+      if (k % 64) p.coeffs.back() &= (std::uint64_t{1} << (k % 64)) - 1;
+      for (std::size_t i = 0; i < r; ++i) p.payload.push_back(util::random_bits(rng, 64));
+    } else {
+      using F = typename D::field_type;
+      auto draw = [&] {
+        return static_cast<typename F::value_type>(util::uniform_below(rng, F::order));
+      };
+      for (std::size_t i = 0; i < k; ++i) p.coeffs.push_back(draw());
+      for (std::size_t i = 0; i < r; ++i) p.payload.push_back(draw());
+    }
+    stream.push_back(std::move(p));
+  }
+  return stream;
+}
+
+// Everything observable after replaying `stream` into d: the verdicts, the
+// stored rows, a run of combinations under a fixed RNG (and where that RNG
+// ends up), and the decoded payloads at full rank.
+template <typename D, typename Packet>
+std::vector<std::uint64_t> replay_log(D&& d, const std::vector<Packet>& stream) {
+  std::vector<std::uint64_t> log;
+  auto put = [&](const auto& xs) {
+    log.push_back(xs.size());
+    log.insert(log.end(), xs.begin(), xs.end());
+  };
+  for (const auto& p : stream) log.push_back(d.insert(p));
+  log.push_back(d.rank());
+  for (std::size_t i = 0; i < d.rank(); ++i) put(d.stored_coeff_row(i));
+  sim::Rng rng(77);
+  Packet out;
+  for (int t = 0; t < 16; ++t) {
+    log.push_back(d.random_combination_into(rng, out));
+    put(out.coeffs);
+    put(out.payload);
+    log.push_back(d.random_combination_into(rng, 0.5, out));
+    put(out.coeffs);
+    put(out.payload);
+  }
+  log.push_back(rng());
+  if (d.full_rank()) {
+    for (std::size_t i = 0; i < d.message_count(); ++i) put(d.decoded_message(i));
+  }
+  return log;
+}
+
+template <typename D>
+void expect_clear_replays_fresh(std::size_t k, std::size_t r) {
+  SCOPED_TRACE(k);
+  const auto stream = random_stream<D>(k, r, 1000 + k);
+  D used(k, r);
+  replay_log(used, stream);
+  ASSERT_GT(used.rank(), 0u);
+  used.clear();
+  EXPECT_EQ(used.rank(), 0u);
+  D fresh(k, r);
+  EXPECT_EQ(replay_log(used, stream), replay_log(fresh, stream));
+}
+
+template <typename Store>
+void expect_reset_replays_fresh(std::size_t k) {
+  SCOPED_TRACE(k);
+  const std::size_t n = 3;
+  const auto stream = random_stream<typename Store::ref_type>(k, 2, 2000 + k);
+  Store used(n, k, 0), fresh(n, k, 0);
+  for (graph::NodeId v = 0; v < n; ++v) replay_log(used.at(v), stream);
+  ASSERT_GT(used.at(1).rank(), 0u);
+  used.reset(1);
+  EXPECT_EQ(used.at(1).rank(), 0u);
+  EXPECT_EQ(replay_log(used.at(1), stream), replay_log(fresh.at(1), stream));
+}
+
+TEST(RankStore, ClearAndResetReplayLikeFreshDecoders) {
+  expect_clear_replays_fresh<linalg::DenseDecoder<gf::GF2>>(12, 3);
+  expect_clear_replays_fresh<linalg::DenseDecoder<gf::GF256>>(33, 5);
+  expect_clear_replays_fresh<linalg::BitDecoder>(70, 2);
+  expect_clear_replays_fresh<linalg::DenseRankTracker<gf::GF256>>(20, 4);
+  expect_clear_replays_fresh<linalg::BitRankTracker>(65, 2);
+  expect_reset_replays_fresh<core::DenseRankStore<gf::GF256>>(33);
+  expect_reset_replays_fresh<core::BitRankStore>(65);
+}
+
+// VectorNodeStore sums the decoders' exact footprints.  A GF(256) node with
+// k = 16 and 1 KiB payloads holds 16 rows of 16 + 1024 symbols padded to
+// 1056 bytes, one 1056-byte scratch stripe and 16 four-byte pivots.
+TEST(RankStore, VectorStoreMemoryBytesIsExact) {
+  core::RlncSwarm<core::Gf256Decoder> swarm(4, core::single_source(16, 0), 1024);
+  EXPECT_EQ(swarm.node(0).memory_bytes(), 16u * 1056u + 1056u + 16u * 4u);
+  EXPECT_EQ(swarm.decoder_memory_bytes(), 4u * 18016u);
 }
 
 // ---------------------------------------------------------------------------
