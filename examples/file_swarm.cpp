@@ -9,24 +9,28 @@
 //     sparse random-regular overlay, RLNC vs the classic "random block"
 //     uncoded swarm, with byte-for-byte reassembly at the farthest peer.
 //
-//   swarm / AG_TRANSPORT=udp      A REAL multi-process swarm on loopback
-//     UDP: the launcher binds one socket per node (port 0, so the kernel
-//     assigns free ports racelessly), forks worker processes that inherit
-//     their nodes' descriptors, and every worker runs net::run_swarm over
-//     a net::UdpTransport -- versioned wire frames, epoll, gossiped
-//     completion bitmap -- until all nodes decode the file.
+//   swarm / AG_TRANSPORT=udp, stream   A REAL multi-process swarm on
+//     loopback UDP: the launcher binds one socket per node (port 0, so the
+//     kernel assigns free ports racelessly), forks worker processes that
+//     inherit their nodes' descriptors, and every worker runs
+//     net::run_stream_swarm over a net::UdpTransport -- versioned wire
+//     frames carrying generation ids, epoll, gossiped per-node delivery
+//     watermarks -- until every node has delivered, byte-verified, every
+//     message.  `swarm` is the one-shot file: one generation of k blocks
+//     injected at once (window 1).  `stream` injects a message stream
+//     coded in generations (src/coding/) with a bounded in-flight window.
 //       file_swarm swarm [--n 16] [--k 32] [--payload 32] [--procs 4]
 //                        [--seed 7] [--timeout-ms 60000]
-//
-//   stream                A multi-process STREAMING swarm on loopback UDP:
-//     the source injects an unbounded-style message stream coded in
-//     generations (src/coding/) with a bounded in-flight window; frames
-//     carry the generation id in the wire-v2 header and termination is
-//     gossiped as per-node delivery watermarks (net::run_stream_swarm).
 //       file_swarm stream [--n 8] [--gen 16] [--window 4]
 //                         [--policy sequential|round_robin|rarest_first]
 //                         [--payload 32] [--messages 96] [--rate 1]
 //                         [--procs 4] [--seed 7] [--timeout-ms 60000]
+//     Numeric flags take plain base-10 digits; anything else (empty, signs,
+//     trailing junk, overflow) prints usage and exits 2.
+#include <algorithm>
+#include <cerrno>
+#include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -109,84 +113,84 @@ int run_sim_demo() {
   return ok ? 0 : 1;
 }
 
+// Both UDP subcommands run net::run_stream_swarm.  `swarm` is the paper's
+// one-shot file: one generation of k blocks, all injected on the first tick.
 struct SwarmArgs {
-  std::size_t n = 16;
-  std::size_t k = 32;
-  std::size_t payload = 32;
-  std::size_t procs = 4;
+  bool stream = false;
+  std::uint64_t n = 16;
+  std::uint64_t gen = 32;        // messages per generation (`swarm --k`)
+  std::uint64_t window = 1;      // generations in flight
+  ag::coding::GenPolicy policy = ag::coding::GenPolicy::Sequential;
+  std::uint64_t payload = 32;
+  std::uint64_t messages = 32;
+  std::uint64_t rate = 32;       // messages injected per tick at the source
+  std::uint64_t procs = 4;
   std::uint64_t seed = 7;
-  int timeout_ms = 60000;
+  std::uint64_t timeout_ms = 60000;
 };
+
+SwarmArgs stream_defaults() {
+  SwarmArgs a;
+  a.stream = true;
+  a.n = 8;
+  a.gen = 16;
+  a.window = 4;
+  a.messages = 96;
+  a.rate = 1;
+  return a;
+}
+
+// Strict base-10 count: digits only (no sign, no whitespace), no trailing
+// junk, no overflow.
+bool parse_count(const char* s, std::uint64_t& out) {
+  if (*s < '0' || *s > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  out = v;
+  return true;
+}
 
 bool parse_swarm_args(int argc, char** argv, SwarmArgs& a) {
-  for (int i = 0; i < argc; i += 2) {
-    const std::string key = argv[i];
-    if (i + 1 >= argc) return false;
-    const char* val = argv[i + 1];
-    if (key == "--n") a.n = std::strtoull(val, nullptr, 10);
-    else if (key == "--k") a.k = std::strtoull(val, nullptr, 10);
-    else if (key == "--payload") a.payload = std::strtoull(val, nullptr, 10);
-    else if (key == "--procs") a.procs = std::strtoull(val, nullptr, 10);
-    else if (key == "--seed") a.seed = std::strtoull(val, nullptr, 10);
-    else if (key == "--timeout-ms") a.timeout_ms = std::atoi(val);
-    else return false;
+  struct Flag {
+    const char* name;
+    std::uint64_t* value;
+  };
+  std::vector<Flag> flags = {{"--n", &a.n},
+                             {"--payload", &a.payload},
+                             {"--procs", &a.procs},
+                             {"--seed", &a.seed},
+                             {"--timeout-ms", &a.timeout_ms}};
+  if (a.stream) {
+    flags.insert(flags.end(), {{"--gen", &a.gen},
+                               {"--window", &a.window},
+                               {"--messages", &a.messages},
+                               {"--rate", &a.rate}});
+  } else {
+    flags.push_back({"--k", &a.gen});
   }
-  return a.n >= 2 && a.k >= 1 && a.procs >= 1 && a.procs <= a.n;
-}
-
-struct StreamArgs {
-  std::size_t n = 8;
-  std::size_t gen = 16;     // messages per generation
-  std::size_t window = 4;   // generations in flight
-  std::string policy = "sequential";
-  std::size_t payload = 32;
-  std::size_t messages = 96;
-  std::size_t rate = 1;     // messages injected per tick at the source
-  std::size_t procs = 4;
-  std::uint64_t seed = 7;
-  int timeout_ms = 60000;
-};
-
-bool parse_stream_args(int argc, char** argv, StreamArgs& a) {
   for (int i = 0; i < argc; i += 2) {
-    const std::string key = argv[i];
     if (i + 1 >= argc) return false;
+    const std::string key = argv[i];
     const char* val = argv[i + 1];
-    if (key == "--n") a.n = std::strtoull(val, nullptr, 10);
-    else if (key == "--gen") a.gen = std::strtoull(val, nullptr, 10);
-    else if (key == "--window") a.window = std::strtoull(val, nullptr, 10);
-    else if (key == "--policy") a.policy = val;
-    else if (key == "--payload") a.payload = std::strtoull(val, nullptr, 10);
-    else if (key == "--messages") a.messages = std::strtoull(val, nullptr, 10);
-    else if (key == "--rate") a.rate = std::strtoull(val, nullptr, 10);
-    else if (key == "--procs") a.procs = std::strtoull(val, nullptr, 10);
-    else if (key == "--seed") a.seed = std::strtoull(val, nullptr, 10);
-    else if (key == "--timeout-ms") a.timeout_ms = std::atoi(val);
-    else return false;
+    if (a.stream && key == "--policy") {
+      if (!ag::coding::parse_policy(val, a.policy)) return false;
+      continue;
+    }
+    const auto f = std::find_if(flags.begin(), flags.end(),
+                                [&](const Flag& fl) { return key == fl.name; });
+    if (f == flags.end() || !parse_count(val, *f->value)) return false;
   }
-  ag::coding::GenPolicy pol;
+  if (!a.stream) a.messages = a.rate = a.gen;
   return a.n >= 2 && a.gen >= 1 && a.window >= 1 && a.rate >= 1 &&
-         a.procs >= 1 && a.procs <= a.n && ag::coding::parse_policy(a.policy, pol);
-}
-
-// The satellite every transport-backed mode shares: the full final
-// TransportStats per worker, so packet loss and malformed-frame rejection
-// are visible in the e2e logs, not just the pass/fail verdict.
-[[maybe_unused]] void print_transport_stats(std::size_t worker,
-                                            const ag::sim::TransportStats& t) {
-  std::printf("worker %zu stats: %llu delivered, %llu dropped, "
-              "%llu decode failures, %llu recv errors\n",
-              worker,
-              static_cast<unsigned long long>(t.messages_delivered),
-              static_cast<unsigned long long>(t.messages_dropped),
-              static_cast<unsigned long long>(t.decode_failures),
-              static_cast<unsigned long long>(t.recv_errors));
+         a.procs >= 1 && a.procs <= a.n && a.timeout_ms <= INT_MAX;
 }
 
 #if defined(__linux__)
 
 // One worker's life: adopt its nodes' inherited sockets, run the swarm to
-// cluster-wide completion, exit 0 iff done and every block decoded.
+// cluster-wide completion, exit 0 iff done and every message verified.
 [[noreturn]] void worker_main(ag::net::UdpSocketSet& parent_set,
                               const ag::net::EndpointTable& table,
                               const SwarmArgs& a, std::size_t worker) {
@@ -205,18 +209,27 @@ bool parse_stream_args(int argc, char** argv, StreamArgs& a) {
 
   net::UdpSocketSet socks;
   if (!socks.adopt(fds)) _exit(2);
-  net::UdpTransport<net::Gf256Packet> transport(socks, table, mine, a.k, a.payload);
-  net::SwarmConfig cfg;
+  net::UdpTransport<net::Gf256Packet> transport(socks, table, mine, a.gen, a.payload);
+  net::SwarmRunnerConfig cfg;
   cfg.n = a.n;
-  cfg.k = a.k;
-  cfg.payload_len = a.payload;
+  cfg.stream.generation_size = a.gen;
+  cfg.stream.window = a.window;
+  cfg.stream.policy = a.policy;
+  cfg.stream.payload_len = a.payload;
+  cfg.stream.inject_per_round = a.rate;
+  cfg.stream.total_messages = a.messages;
   cfg.seed = a.seed;
-  cfg.timeout_ms = a.timeout_ms;
-  const net::SwarmReport rep = net::run_swarm(transport, cfg);
-  std::printf("worker %zu (%zu nodes): %s in %llu ticks\n", worker, mine.size(),
-              rep.ok() ? "complete+verified" : "FAILED",
-              static_cast<unsigned long long>(rep.ticks));
-  print_transport_stats(worker, rep.transport);
+  cfg.timeout_ms = static_cast<int>(a.timeout_ms);
+  const net::SwarmRunnerReport rep = net::run_stream_swarm(transport, cfg);
+  const sim::TransportStats& t = rep.transport;
+  std::printf("worker %zu (%zu nodes): %s in %" PRIu64 " ticks, %" PRIu64
+              " messages delivered, %" PRIu64 " stale frames\n"
+              "worker %zu stats: %" PRIu64 " delivered, %" PRIu64 " dropped, %" PRIu64
+              " decode failures, %" PRIu64 " recv errors\n",
+              worker, mine.size(), rep.ok() ? "stream delivered+verified" : "FAILED",
+              rep.ticks, rep.delivered_messages, rep.stale_packets, worker,
+              t.messages_delivered, t.messages_dropped, t.decode_failures,
+              t.recv_errors);
   std::fflush(stdout);
   _exit(rep.ok() ? 0 : 1);
 }
@@ -225,7 +238,7 @@ int run_udp_swarm(const SwarmArgs& a) {
   using namespace ag;
   net::UdpSocketSet all;
   if (!all.open_loopback(a.n)) {
-    std::fprintf(stderr, "file_swarm: cannot bind %zu loopback sockets\n", a.n);
+    std::fprintf(stderr, "file_swarm: cannot bind %" PRIu64 " loopback sockets\n", a.n);
     return 1;
   }
   net::EndpointTable table(a.n);
@@ -237,9 +250,11 @@ int run_udp_swarm(const SwarmArgs& a) {
     }
     table.set(static_cast<net::NodeId>(v), net::Endpoint{net::kLoopbackAddr, port});
   }
-  std::printf("udp swarm: n=%zu nodes over %zu processes, k=%zu blocks x %zu bytes, "
-              "GF(256), loopback ports %u..\n",
-              a.n, a.procs, a.k, a.payload, table.of(0).port);
+  std::printf("udp %s: n=%" PRIu64 " nodes over %" PRIu64 " processes, %" PRIu64
+              " messages x %" PRIu64 " bytes in generations of %" PRIu64
+              " (window %" PRIu64 ", %s), GF(256), loopback ports %u..\n",
+              a.stream ? "stream" : "swarm", a.n, a.procs, a.messages, a.payload, a.gen,
+              a.window, coding::to_string(a.policy).data(), table.of(0).port);
   std::fflush(stdout);
 
   std::vector<pid_t> kids;
@@ -262,111 +277,15 @@ int run_udp_swarm(const SwarmArgs& a) {
       ok = false;
     }
   }
-  std::printf("udp swarm: %s\n", ok ? "all workers complete, payload verified"
-                                    : "FAILED");
-  return ok ? 0 : 1;
-}
-
-// Streaming worker: same socket-adoption dance, but the transport is built
-// with k = generation size and the driver is the generation-windowed
-// run_stream_swarm.
-[[noreturn]] void stream_worker_main(ag::net::UdpSocketSet& parent_set,
-                                     const ag::net::EndpointTable& table,
-                                     const StreamArgs& a, std::size_t worker) {
-  using namespace ag;
-  std::vector<net::NodeId> mine;
-  std::vector<int> fds;
-  for (std::size_t v = 0; v < a.n; ++v) {
-    if (v % a.procs == worker) {
-      mine.push_back(static_cast<net::NodeId>(v));
-      fds.push_back(parent_set.fd(v));
-    } else {
-      ::close(parent_set.fd(v));
-    }
-  }
-  parent_set.forget_sockets();
-
-  net::UdpSocketSet socks;
-  if (!socks.adopt(fds)) _exit(2);
-  net::UdpTransport<net::Gf256Packet> transport(socks, table, mine, a.gen, a.payload);
-  net::StreamSwarmConfig cfg;
-  cfg.n = a.n;
-  cfg.stream.generation_size = a.gen;
-  cfg.stream.window = a.window;
-  if (!coding::parse_policy(a.policy, cfg.stream.policy)) _exit(2);
-  cfg.stream.payload_len = a.payload;
-  cfg.stream.inject_per_round = a.rate;
-  cfg.stream.total_messages = a.messages;
-  cfg.seed = a.seed;
-  cfg.timeout_ms = a.timeout_ms;
-  const net::StreamSwarmReport rep = net::run_stream_swarm(transport, cfg);
-  std::printf("worker %zu (%zu nodes): %s in %llu ticks, %llu messages "
-              "delivered, %llu stale frames\n",
-              worker, mine.size(), rep.ok() ? "stream delivered+verified" : "FAILED",
-              static_cast<unsigned long long>(rep.ticks),
-              static_cast<unsigned long long>(rep.delivered_messages),
-              static_cast<unsigned long long>(rep.stale_packets));
-  print_transport_stats(worker, rep.transport);
-  std::fflush(stdout);
-  _exit(rep.ok() ? 0 : 1);
-}
-
-int run_udp_stream(const StreamArgs& a) {
-  using namespace ag;
-  net::UdpSocketSet all;
-  if (!all.open_loopback(a.n)) {
-    std::fprintf(stderr, "file_swarm: cannot bind %zu loopback sockets\n", a.n);
-    return 1;
-  }
-  net::EndpointTable table(a.n);
-  for (std::size_t v = 0; v < a.n; ++v) {
-    const std::uint16_t port = all.port(v);
-    if (port == 0) {
-      std::fprintf(stderr, "file_swarm: getsockname failed for node %zu\n", v);
-      return 1;
-    }
-    table.set(static_cast<net::NodeId>(v), net::Endpoint{net::kLoopbackAddr, port});
-  }
-  std::printf("udp stream: n=%zu nodes over %zu processes, %zu messages x %zu "
-              "bytes in generations of %zu (window %zu, %s), loopback ports %u..\n",
-              a.n, a.procs, a.messages, a.payload, a.gen, a.window,
-              a.policy.c_str(), table.of(0).port);
-  std::fflush(stdout);
-
-  std::vector<pid_t> kids;
-  for (std::size_t w = 0; w < a.procs; ++w) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::fprintf(stderr, "file_swarm: fork failed\n");
-      return 1;
-    }
-    if (pid == 0) stream_worker_main(all, table, a, w);  // never returns
-    kids.push_back(pid);
-  }
-  all.close_all();  // workers own their descriptors now
-
-  bool ok = true;
-  for (const pid_t pid : kids) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid ||
-        !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      ok = false;
-    }
-  }
-  std::printf("udp stream: %s\n", ok ? "all workers delivered the stream in order"
-                                     : "FAILED");
+  std::printf("udp %s: %s\n", a.stream ? "stream" : "swarm",
+              ok ? "all workers delivered the stream in order" : "FAILED");
   return ok ? 0 : 1;
 }
 
 #else
 
 int run_udp_swarm(const SwarmArgs&) {
-  std::fprintf(stderr, "file_swarm: udp swarm mode requires Linux\n");
-  return 1;
-}
-
-int run_udp_stream(const StreamArgs&) {
-  std::fprintf(stderr, "file_swarm: udp stream mode requires Linux\n");
+  std::fprintf(stderr, "file_swarm: udp swarm modes require Linux\n");
   return 1;
 }
 
@@ -375,33 +294,27 @@ int run_udp_stream(const StreamArgs&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "stream") == 0) {
-    StreamArgs s;
-    if (!parse_stream_args(argc - 2, argv + 2, s)) {
-      std::fprintf(stderr,
-                   "usage: file_swarm stream [--n N] [--gen G] [--window W]\n"
-                   "                         [--policy sequential|round_robin|"
-                   "rarest_first]\n"
-                   "                         [--payload BYTES] [--messages M]\n"
-                   "                         [--rate R] [--procs P] [--seed S]\n"
-                   "                         [--timeout-ms MS]\n");
-      return 2;
-    }
-    return run_udp_stream(s);
+  const char* env = std::getenv("AG_TRANSPORT");
+  const bool want_stream = argc > 1 && std::strcmp(argv[1], "stream") == 0;
+  const bool want_swarm = argc > 1 && std::strcmp(argv[1], "swarm") == 0;
+  if (!want_stream && !want_swarm && (env == nullptr || std::strcmp(env, "udp") != 0)) {
+    return run_sim_demo();
   }
 
-  const char* env = std::getenv("AG_TRANSPORT");
-  const bool want_udp =
-      (argc > 1 && std::strcmp(argv[1], "swarm") == 0) ||
-      (env != nullptr && std::strcmp(env, "udp") == 0);
-  if (!want_udp) return run_sim_demo();
-
-  SwarmArgs a;
-  const int flag_start = (argc > 1 && std::strcmp(argv[1], "swarm") == 0) ? 2 : 1;
+  SwarmArgs a = want_stream ? stream_defaults() : SwarmArgs{};
+  const int flag_start = want_stream || want_swarm ? 2 : 1;
   if (!parse_swarm_args(argc - flag_start, argv + flag_start, a)) {
     std::fprintf(stderr,
-                 "usage: file_swarm swarm [--n N] [--k K] [--payload BYTES]\n"
-                 "                        [--procs P] [--seed S] [--timeout-ms MS]\n");
+                 a.stream
+                     ? "usage: file_swarm stream [--n N] [--gen G] [--window W]\n"
+                       "                         [--policy sequential|round_robin|"
+                       "rarest_first]\n"
+                       "                         [--payload BYTES] [--messages M]\n"
+                       "                         [--rate R] [--procs P] [--seed S]\n"
+                       "                         [--timeout-ms MS]\n"
+                     : "usage: file_swarm swarm [--n N] [--k K] [--payload BYTES]\n"
+                       "                        [--procs P] [--seed S] "
+                       "[--timeout-ms MS]\n");
     return 2;
   }
   return run_udp_swarm(a);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/decoders.hpp"
-#include "core/dissemination.hpp"
 #include "core/swarm.hpp"
 #include "sim/rng.hpp"
 
@@ -14,128 +13,6 @@ namespace ag::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-struct Bitmap {
-  explicit Bitmap(std::size_t n) : bits((n + 7) / 8, 0), n_(n) {}
-
-  void set(std::size_t i) { bits[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8)); }
-  bool get(std::size_t i) const { return (bits[i / 8] >> (i % 8)) & 1u; }
-
-  void merge(const std::vector<std::uint8_t>& other) {
-    const std::size_t m = other.size() < bits.size() ? other.size() : bits.size();
-    for (std::size_t i = 0; i < m; ++i) bits[i] |= other[i];
-  }
-
-  bool all() const {
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (!get(i)) return false;
-    }
-    return true;
-  }
-
-  std::vector<std::uint8_t> bits;
-  std::size_t n_;
-};
-
-}  // namespace
-
-SwarmReport run_swarm(UdpTransport<Gf256Packet>& transport, const SwarmConfig& cfg) {
-  SwarmReport report;
-  const std::vector<NodeId>& local = transport.local_nodes();
-  if (local.empty() || cfg.n < 2 || cfg.k == 0) return report;
-
-  // Every process builds the same swarm shape; only its local nodes' decoder
-  // state is ever touched (remote state lives in the remote processes).
-  core::RlncSwarm<core::Gf256Decoder> swarm(cfg.n, core::single_source(cfg.k, 0),
-                                            cfg.payload_len);
-  // Decorrelate processes: each worker's stream depends on the lowest node
-  // id it hosts, so forked siblings never share coefficient draws.
-  sim::Rng rng(cfg.seed * 0x9e3779b97f4a7c15ull + local.front() + 1);
-
-  Bitmap done(cfg.n);
-  Gf256Packet tx;
-  ControlFrame bitmap_frame;
-  const auto deliver_fn = [&](NodeId /*from*/, NodeId to, const Gf256Packet& pkt) {
-    swarm.receive(to, pkt, report.ticks);
-  };
-
-  const auto random_peer = [&](NodeId self) {
-    NodeId u = static_cast<NodeId>(rng.uniform(cfg.n - 1));
-    if (u >= self) ++u;
-    return u;
-  };
-
-  const auto send_bitmap = [&](NodeId from) {
-    bitmap_frame.sender = from;
-    bitmap_frame.data = done.bits;
-    transport.send_control(from, random_peer(from), bitmap_frame);
-  };
-
-  const auto deadline = Clock::now() + std::chrono::milliseconds(cfg.timeout_ms);
-  bool timed_out = false;
-
-  while (!done.all()) {
-    if (Clock::now() >= deadline) {
-      timed_out = true;
-      break;
-    }
-    ++report.ticks;
-    // Transmit: one fresh combination per local node with anything to say.
-    for (const NodeId v : local) {
-      if (swarm.combine_into(v, rng, tx)) {
-        auto thunk = deliver_fn;
-        transport.send(v, random_peer(v), tx, sim::DeliverRef<Gf256Packet>(thunk));
-      }
-    }
-    // Receive whatever the kernel has queued.
-    {
-      auto thunk = deliver_fn;
-      transport.drain(sim::DeliverRef<Gf256Packet>(thunk));
-    }
-    // Completion tracking: local rank observations + gossiped bitmaps.
-    for (const NodeId v : local) {
-      if (!done.get(v) && swarm.node(v).full_rank()) done.set(v);
-    }
-    for (const ControlFrame& cf : transport.take_control()) done.merge(cf.data);
-    for (const NodeId v : local) send_bitmap(v);
-    // Idle briefly when the wire is quiet so a waiting process doesn't spin.
-    transport.wait_readable(1);
-  }
-
-  report.completed = done.all();
-
-  // Grace burst: a process that learned completion last may have peers still
-  // waiting on its bitmap; keep gossiping it briefly before exiting.
-  if (report.completed) {
-    for (int g = 0; g < cfg.grace_ticks; ++g) {
-      for (const NodeId v : local) send_bitmap(v);
-      auto thunk = deliver_fn;
-      transport.drain(sim::DeliverRef<Gf256Packet>(thunk));
-      transport.take_control();
-      transport.wait_readable(1);
-    }
-  }
-
-  // End-to-end verification: every local node must decode every block to the
-  // exact bytes the source was seeded with.
-  if (report.completed && !timed_out) {
-    report.payload_ok = true;
-    for (const NodeId v : local) {
-      for (std::size_t i = 0; i < cfg.k; ++i) {
-        if (!swarm.decodes_correctly(v, i)) {
-          report.payload_ok = false;
-          break;
-        }
-      }
-      if (!report.payload_ok) break;
-    }
-  }
-
-  report.transport = transport.stats();
-  return report;
-}
-
-namespace {
 
 // Per-node delivered-generation watermarks, gossiped in control frames as n
 // u32 little-endian counters and merged by element-wise max.  Watermarks
@@ -182,9 +59,9 @@ struct StreamLane {
 
 }  // namespace
 
-StreamSwarmReport run_stream_swarm(UdpTransport<Gf256Packet>& transport,
-                                   const StreamSwarmConfig& cfg) {
-  StreamSwarmReport report;
+SwarmRunnerReport run_stream_swarm(UdpTransport<Gf256Packet>& transport,
+                                   const SwarmRunnerConfig& cfg) {
+  SwarmRunnerReport report;
   const std::vector<NodeId>& local = transport.local_nodes();
   const coding::StreamConfig& sc = cfg.stream;
   const std::uint32_t total_gens = sc.total_generations();

@@ -8,16 +8,25 @@
 /// deployment uses this self-contained push loop instead: every tick each
 /// locally hosted node transmits one fresh RLNC combination (GF(256)) to a
 /// uniformly random peer, then drains the transport and inserts whatever
-/// arrived.  That is exactly uniform algebraic gossip in the PUSH direction
-/// under the asynchronous time model, running on kernel time instead of
-/// engine rounds.
+/// arrived.  That is uniform algebraic gossip in the PUSH direction under
+/// the asynchronous time model, running on kernel time instead of engine
+/// rounds.
 ///
-/// Termination is gossiped, not assumed: each node keeps an n-bit completion
-/// bitmap (bit v = "node v is known to have reached full rank"), ORs in
-/// every bitmap it hears via control frames, and keeps transmitting until
-/// the bitmap is all-ones -- then sends a short grace burst of bitmap
-/// broadcasts so laggard processes learn completion too, verifies its local
-/// decoded payloads byte-for-byte against the source, and returns.
+/// One driver serves both shapes.  The source's messages are coded in
+/// generations with a bounded window in flight (src/coding/); the paper's
+/// one-shot k-dissemination is the special case of one generation of k
+/// messages, all injected on the first tick (generation_size =
+/// total_messages = inject_per_round = k, window = 1).  With one generation
+/// "every node delivered generation 0" and "every node reached full rank"
+/// are the same termination rule.
+///
+/// Termination is gossiped, not assumed: each node keeps per-node delivery
+/// watermarks (count of generations delivered contiguously at node v),
+/// max-merges every watermark vector it hears via control frames, and keeps
+/// transmitting until the minimum watermark reaches the generation count --
+/// then sends a short grace burst of watermark broadcasts so laggard
+/// processes learn completion too.  Every delivered message is verified
+/// byte-for-byte against the source payload on delivery.
 #pragma once
 
 #include <cstdint>
@@ -32,42 +41,12 @@ namespace ag::net {
 /// The swarm speaks GF(256): byte symbols, the library's end-to-end default.
 using Gf256Packet = linalg::DensePacket<gf::GF256>;
 
-struct SwarmConfig {
-  std::size_t n = 16;            ///< swarm size (node ids 0..n-1)
-  std::size_t k = 32;            ///< file blocks, all seeded at node 0
-  std::size_t payload_len = 32;  ///< bytes per block
-  std::uint64_t seed = 7;        ///< per-process RNG seed material
-  int timeout_ms = 30000;        ///< wall-clock budget before giving up
-  int grace_ticks = 32;          ///< completion-bitmap broadcasts after done
-};
-
-struct SwarmReport {
-  bool completed = false;   ///< completion bitmap reached all-ones in time
-  bool payload_ok = false;  ///< every local node decodes every block correctly
-  std::uint64_t ticks = 0;
-  sim::TransportStats transport;  ///< final transport counters
-
-  bool ok() const noexcept { return completed && payload_ok; }
-};
-
-/// Runs the swarm for the nodes hosted by `transport` until cluster-wide
-/// completion or timeout.  Blocking; returns the final report.
-SwarmReport run_swarm(UdpTransport<Gf256Packet>& transport, const SwarmConfig& cfg);
-
-/// Streaming variant: the source injects `stream.total_messages` messages
-/// over time, coded in generations of `stream.generation_size` with at most
-/// `stream.window` in flight (src/coding/).  Frames carry the generation id
-/// in the wire-v2 header; termination is gossiped as per-node *watermarks*
-/// (count of generations delivered contiguously, merged by max) instead of
-/// a completion bitmap -- the cluster is done when the minimum watermark
-/// reaches the generation count.
-///
 /// Policy note: over UDP, `rarest_first` ranks generations by the LOCAL
 /// rank deficit (frames do not carry peer ranks), unlike the sim driver
 /// where true peer-rank feedback travels in-struct.  Real-socket runs are
 /// not deterministic, so the tie-break needs no RNG draw: lowest
 /// generation id wins.
-struct StreamSwarmConfig {
+struct SwarmRunnerConfig {
   std::size_t n = 16;            ///< swarm size (node ids 0..n-1)
   coding::StreamConfig stream;   ///< generation size / window / policy / stream length
   std::uint64_t seed = 7;        ///< per-process RNG seed material
@@ -75,7 +54,7 @@ struct StreamSwarmConfig {
   int grace_ticks = 32;          ///< watermark broadcasts after completion
 };
 
-struct StreamSwarmReport {
+struct SwarmRunnerReport {
   bool completed = false;   ///< minimum watermark reached total_generations
   bool payload_ok = false;  ///< every locally delivered message matched the source bytes
   std::uint64_t ticks = 0;
@@ -86,10 +65,11 @@ struct StreamSwarmReport {
   bool ok() const noexcept { return completed && payload_ok; }
 };
 
-/// Blocking streaming driver for the nodes hosted by `transport`.  The
+/// Runs the swarm for the nodes hosted by `transport` until cluster-wide
+/// completion or timeout.  Blocking; returns the final report.  The
 /// transport must be constructed with k = stream.generation_size and
 /// payload_len = stream.payload_len.
-StreamSwarmReport run_stream_swarm(UdpTransport<Gf256Packet>& transport,
-                                   const StreamSwarmConfig& cfg);
+SwarmRunnerReport run_stream_swarm(UdpTransport<Gf256Packet>& transport,
+                                   const SwarmRunnerConfig& cfg);
 
 }  // namespace ag::net

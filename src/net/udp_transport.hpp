@@ -17,10 +17,10 @@
 ///     a non-admitting channel drops the frame before the sendto.  Useful
 ///     for loss-injection tests over loopback (which otherwise never drops).
 ///
-/// Control frames (done-bitmap gossip etc.) ride the same sockets with
-/// WireField::Control; they are queued on a side inbox during drain() and
-/// handed to the driver via take_control() -- a queue instead of a stored
-/// callback, keeping the no-stored-callback rule.
+/// Control frames (the swarm driver's watermark gossip) ride the same
+/// sockets with WireField::Control; they are queued on a side inbox during
+/// drain() and handed to the driver via take_control() -- a queue instead
+/// of a stored callback, keeping the no-stored-callback rule.
 #pragma once
 
 #include <cstdint>
@@ -57,59 +57,25 @@ class UdpTransport final : public sim::Transport<Msg> {
     }
   }
 
-  void send(NodeId from, NodeId to, const Msg& msg, sim::DeliverRef<Msg> deliver) override {
-    (void)deliver;  // nothing is ever delivered synchronously: loopback
-                    // datagrams to self still arrive through drain()
-    ++stats_.messages_sent;
-    if (!channel_.admits(from, to)) {
-      ++stats_.messages_dropped;
-      return;
-    }
-    const std::size_t len = encode_into(msg, k_, tx_buf_);
-    if (!send_frame(from, to, len)) return;
-    stats_.bytes_sent += len;
+  /// Seam sends and drains speak generation 0 (the one-shot protocols);
+  /// nothing is ever delivered synchronously -- loopback datagrams to self
+  /// still arrive through drain().
+  void send(NodeId from, NodeId to, const Msg& msg, sim::DeliverRef<Msg>) override {
+    send_generation(from, to, 0, msg);
   }
 
-  void send(NodeId from, NodeId to, Msg&& msg, sim::DeliverRef<Msg> deliver) override {
-    send(from, to, static_cast<const Msg&>(msg), deliver);
+  void send(NodeId from, NodeId to, Msg&& msg, sim::DeliverRef<Msg>) override {
+    send_generation(from, to, 0, msg);
   }
 
   void drain(sim::DeliverRef<Msg> deliver) override {
-    UdpSocketSet::Datagram meta;
-    while (socks_.recv_one(meta, rx_buf_)) {
-      stats_.bytes_received += rx_buf_.size();
-      const NodeId to = local_nodes_[meta.socket];
-      const NodeId from = table_.node_of(meta.src);
-      if (from == kUnknownNode) {
-        ++stats_.decode_failures;
-        continue;
-      }
-      const std::span<const std::uint8_t> frame(rx_buf_);
-      WireHeader h;
-      if (read_header(frame, h) == DecodeStatus::Ok && h.field == WireField::Control) {
-        ControlFrame cf;
-        if (decode_control(frame, cf) == DecodeStatus::Ok) {
-          control_inbox_.push_back(std::move(cf));
-        } else {
-          ++stats_.decode_failures;
-        }
-        continue;
-      }
-      if (decode_into(frame, k_, payload_len_, rx_pkt_) != DecodeStatus::Ok) {
-        ++stats_.decode_failures;
-        continue;
-      }
-      ++stats_.messages_delivered;
-      deliver(from, to, rx_pkt_);
-    }
-    // The socket set counts hard recvfrom failures (ECONNREFUSED etc.)
-    // across every drain; mirror the running total into the stats surface.
-    stats_.recv_errors = socks_.recv_errors();
+    drain_generations([&](NodeId from, NodeId to, std::uint32_t, const Msg& m) {
+      deliver(from, to, m);
+    });
   }
 
   /// Sends a coded frame tagged with a wire-v2 generation id.  Not part of
-  /// the sim::Transport seam -- the streaming swarm driver calls it
-  /// directly; one-shot protocols keep using send() (generation 0).
+  /// the sim::Transport seam -- the swarm driver calls it directly.
   void send_generation(NodeId from, NodeId to, std::uint32_t generation,
                        const Msg& msg) {
     ++stats_.messages_sent;
@@ -121,9 +87,9 @@ class UdpTransport final : public sim::Transport<Msg> {
     if (send_frame(from, to, len)) stats_.bytes_sent += len;
   }
 
-  /// drain() variant that also hands the frame's generation id to the
-  /// callback as `deliver(from, to, generation, msg)`.  Control frames are
-  /// queued on the side inbox exactly as in drain().
+  /// Delivers whatever is readable right now, in kernel arrival order, as
+  /// `deliver(from, to, generation, msg)`.  Control frames are queued on
+  /// the side inbox for take_control().
   template <typename Fn>
   void drain_generations(Fn&& deliver) {
     UdpSocketSet::Datagram meta;
@@ -153,6 +119,8 @@ class UdpTransport final : public sim::Transport<Msg> {
       ++stats_.messages_delivered;
       deliver(from, to, h.generation, rx_pkt_);
     }
+    // The socket set counts hard recvfrom failures (ECONNREFUSED etc.)
+    // across every drain; mirror the running total into the stats surface.
     stats_.recv_errors = socks_.recv_errors();
   }
 

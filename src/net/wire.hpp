@@ -424,7 +424,7 @@ DecodeStatus decode_into(std::span<const std::uint8_t> frame, std::size_t expect
 
 /// Transport/driver control frame: no coefficients, a sender node id in the
 /// header's k slot, and an opaque byte body (the swarm driver ships its
-/// completion bitmap in it).
+/// per-node delivery watermarks in it, n u32 little-endian counters).
 struct ControlFrame {
   std::uint32_t sender = 0;
   std::vector<std::uint8_t> data;

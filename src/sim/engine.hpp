@@ -90,47 +90,10 @@ RunResult run_traced(P& proto, Rng& rng, std::uint64_t max_rounds, Observer&& ob
   return res;
 }
 
+// run_traced without an observer.
 template <GossipProtocol P>
 RunResult run(P& proto, Rng& rng, std::uint64_t max_rounds) {
-  const auto n = static_cast<std::uint64_t>(proto.node_count());
-  RunResult res;
-  if (n == 0 || proto.finished()) {
-    res.completed = true;
-    return res;
-  }
-
-  if (proto.time_model() == TimeModel::Synchronous) {
-    for (std::uint64_t r = 0; r < max_rounds; ++r) {
-      for (NodeId v = 0; v < n; ++v) proto.on_activate(v, rng);
-      proto.end_round();
-      if (proto.finished()) {
-        res.completed = true;
-        res.rounds = r + 1;
-        res.timeslots = (r + 1) * n;
-        return res;
-      }
-    }
-    res.rounds = max_rounds;
-    res.timeslots = max_rounds * n;
-    return res;
-  }
-
-  // Asynchronous.
-  const std::uint64_t max_slots = max_rounds * n;
-  for (std::uint64_t slot = 0; slot < max_slots; ++slot) {
-    const auto v = static_cast<NodeId>(rng.uniform(n));
-    proto.on_activate(v, rng);
-    if ((slot + 1) % n == 0) proto.end_round();
-    if (proto.finished()) {
-      res.completed = true;
-      res.timeslots = slot + 1;
-      res.rounds = (slot + n) / n;  // ceil
-      return res;
-    }
-  }
-  res.rounds = max_rounds;
-  res.timeslots = max_slots;
-  return res;
+  return run_traced(proto, rng, max_rounds, [](std::uint64_t) {});
 }
 
 }  // namespace ag::sim

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #if defined(__linux__)
@@ -222,33 +223,72 @@ TEST(UdpTransport, SyntheticChannelLossAppliesBeforeTheWire) {
   EXPECT_EQ(t.stats().bytes_sent, 0u);
 }
 
-// Full SwarmRunner in one process: 8 nodes on one socket set, single-source
-// dissemination to full rank everywhere with byte-verified payloads.
-TEST(SwarmRunner, InProcessLoopbackSwarmCompletesAndVerifies) {
-  REQUIRE_SOCKETS();
-  net::SwarmConfig cfg;
-  cfg.n = 8;
-  cfg.k = 8;
-  cfg.payload_len = 8;
-  cfg.seed = 20260807;
-  cfg.timeout_ms = 30000;
-
+// Runs the swarm driver with all cfg.n nodes on one in-process socket set.
+net::SwarmRunnerReport run_in_process(const net::SwarmRunnerConfig& cfg) {
   net::UdpSocketSet socks;
-  ASSERT_TRUE(socks.open_loopback(cfg.n));
+  if (!socks.open_loopback(cfg.n)) {
+    ADD_FAILURE() << "cannot bind " << cfg.n << " loopback sockets";
+    return {};
+  }
   net::EndpointTable table(cfg.n);
   std::vector<net::NodeId> local;
   for (std::size_t v = 0; v < cfg.n; ++v) {
     table.set(static_cast<net::NodeId>(v), {net::kLoopbackAddr, socks.port(v)});
     local.push_back(static_cast<net::NodeId>(v));
   }
-  net::UdpTransport<Gf256Packet> t(socks, table, local, cfg.k, cfg.payload_len);
+  net::UdpTransport<Gf256Packet> t(socks, table, local, cfg.stream.generation_size,
+                                   cfg.stream.payload_len);
+  return net::run_stream_swarm(t, cfg);
+}
 
-  const net::SwarmReport rep = net::run_swarm(t, cfg);
+// Full SwarmRunner in one process: 8 nodes on one socket set, single-source
+// dissemination to full rank everywhere with byte-verified payloads -- the
+// one-shot file as one generation of k = 8 blocks, all injected at once.
+TEST(SwarmRunner, InProcessLoopbackSwarmCompletesAndVerifies) {
+  REQUIRE_SOCKETS();
+  net::SwarmRunnerConfig cfg;
+  cfg.n = 8;
+  cfg.stream.generation_size = 8;
+  cfg.stream.window = 1;
+  cfg.stream.total_messages = 8;
+  cfg.stream.inject_per_round = 8;
+  cfg.stream.payload_len = 8;
+  cfg.stream.source = 0;
+  cfg.seed = 20260807;
+  cfg.timeout_ms = 30000;
+
+  const net::SwarmRunnerReport rep = run_in_process(cfg);
   EXPECT_TRUE(rep.completed);
   EXPECT_TRUE(rep.payload_ok);
   EXPECT_GT(rep.ticks, 0u);
   EXPECT_EQ(rep.transport.decode_failures, 0u);
   EXPECT_GT(rep.transport.messages_delivered, 0u);
+}
+
+// Several generations through a window of 2 with a ragged last generation
+// (14 = 4 + 4 + 4 + 2 messages), under every scheduling policy: every
+// local node delivers every real message, byte-verified, in order.
+TEST(SwarmRunner, InProcessMultiGenerationStreamDeliversUnderEveryPolicy) {
+  REQUIRE_SOCKETS();
+  for (const auto policy : {coding::GenPolicy::Sequential, coding::GenPolicy::RoundRobin,
+                            coding::GenPolicy::RarestFirst}) {
+    SCOPED_TRACE(std::string(coding::to_string(policy)));
+    net::SwarmRunnerConfig cfg;
+    cfg.n = 8;
+    cfg.stream.generation_size = 4;
+    cfg.stream.window = 2;
+    cfg.stream.policy = policy;
+    cfg.stream.total_messages = 14;
+    cfg.stream.payload_len = 8;
+    cfg.seed = 20260807;
+    cfg.timeout_ms = 30000;
+
+    const net::SwarmRunnerReport rep = run_in_process(cfg);
+    EXPECT_TRUE(rep.completed);
+    EXPECT_TRUE(rep.payload_ok);
+    EXPECT_EQ(rep.delivered_messages, 14u * 8u);
+    EXPECT_EQ(rep.transport.decode_failures, 0u);
+  }
 }
 
 }  // namespace
