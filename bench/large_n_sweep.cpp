@@ -262,11 +262,12 @@ int main() {
   // -------------------------------------------------------------------------
   // Part 3: intra-run sharding (core/sharded_round.hpp) on the acceptance
   // configuration -- complete graph at the top tier, k = 32, GF(2) rank-only
-  // pools.  Two checks: the shard-count invariance (stopping rounds at 8
-  // shards == at 1 shard, a hard failure whenever violated) and wall-clock
-  // speedup.  The >= 3x speedup gate only arms on a full-scale run with >= 8
-  // hardware threads; smoke scales and small machines still measure and
-  // report, so the invariance check never goes untested.
+  // pools, at 1, 2, 4 and 8 shards.  Two checks: the shard-count invariance
+  // (stopping rounds and a checksum of every node's finish round at each
+  // count == at 1 shard, a hard failure whenever violated) and wall-clock
+  // speedup.  The >= 3x speedup gate at 8 shards only arms on a full-scale
+  // run with >= 8 hardware threads; smoke scales and small machines still
+  // measure and report, so the invariance check never goes untested.
   // -------------------------------------------------------------------------
   bool shard_rounds_ok = true;
   bool shard_speed_ok = true;
@@ -277,34 +278,49 @@ int main() {
     const auto spl = core::uniform_distinct(sk, sn, prng);
     agbench::record_graph("sharded complete(implicit) n=" + std::to_string(sn));
 
-    auto timed = [&](std::size_t shards, double& secs) {
+    struct ShardedRun {
+      sim::RunResult res;
+      double secs = 0;
+      std::uint64_t finish_sum = 0;  // order-sensitive checksum of finish rounds
+    };
+    auto timed = [&](std::size_t shards) {
       core::ShardedUniformAG<linalg::BitRankTracker, core::BitRankStore> proto(
           std::make_unique<sim::CompleteTopology>(sn), spl, sync_cfg(), kSeed,
           0, shards);
+      ShardedRun r;
       const auto t0 = std::chrono::steady_clock::now();
-      const auto res = proto.run(200000);
-      secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                 .count();
-      return res;
+      r.res = proto.run(200000);
+      r.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                   .count();
+      for (std::size_t v = 0; v < sn; ++v) {
+        r.finish_sum = r.finish_sum * 0x100000001B3ull +
+                       proto.swarm().finish_round(static_cast<graph::NodeId>(v));
+      }
+      return r;
     };
-    double serial_secs = 0, sharded_secs = 0;
-    const auto serial = timed(1, serial_secs);
-    const auto sharded = timed(8, sharded_secs);
-    const double speedup = sharded_secs > 0 ? serial_secs / sharded_secs : 0;
-
-    agbench::Table st({"shards", "rounds", "seconds", "speedup"});
-    st.add_row({"1", agbench::fmt_int(serial.rounds),
-                agbench::fmt(serial_secs, 2), "1.0x"});
-    st.add_row({"8", agbench::fmt_int(sharded.rounds),
-                agbench::fmt(sharded_secs, 2), agbench::fmt(speedup, 2) + "x"});
+    agbench::Table st({"shards", "rounds", "finish checksum", "seconds", "speedup"});
+    ShardedRun serial;
+    double speedup = 0;  // at 8 shards
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      const ShardedRun r = timed(shards);
+      if (shards == 1) serial = r;
+      const double sp = r.secs > 0 ? serial.secs / r.secs : 0;
+      if (shards == 8) speedup = sp;
+      char sum[24];
+      std::snprintf(sum, sizeof sum, "%016llx",
+                    static_cast<unsigned long long>(r.finish_sum));
+      st.add_row({agbench::fmt_int(shards), agbench::fmt_int(r.res.rounds), sum,
+                  agbench::fmt(r.secs, 2), agbench::fmt(sp, 2) + "x"});
+      shard_rounds_ok = shard_rounds_ok && r.res.completed &&
+                        r.res.rounds == serial.res.rounds &&
+                        r.finish_sum == serial.finish_sum;
+    }
     st.print();
 
-    shard_rounds_ok = serial.completed && sharded.completed &&
-                      serial.rounds == sharded.rounds;
     agbench::verdict(shard_rounds_ok,
-                     "sharded engine determinism: stopping rounds at 8 shards "
-                     "== at 1 shard (complete n=" + agbench::fmt_int(sn) +
-                     ", k=" + agbench::fmt_int(sk) + ")");
+                     "sharded engine determinism: stopping rounds and per-node "
+                     "finish rounds at 2, 4 and 8 shards == at 1 shard (complete n=" +
+                         agbench::fmt_int(sn) + ", k=" + agbench::fmt_int(sk) + ")");
     const std::size_t hw = std::thread::hardware_concurrency();
     const bool gate_arms = sn >= 100000 && hw >= 8;
     shard_speed_ok = !gate_arms || speedup >= 3.0;

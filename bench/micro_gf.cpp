@@ -2,7 +2,8 @@
 //
 // These are the instruction-level hot loops of the library: scalar GF
 // multiply, axpy over coefficient rows (via the runtime-dispatched backend),
-// and the word-parallel GF(2) XOR the bit-packed decoder uses.  Every
+// and the word-parallel GF(2) XOR the bit-packed decoder uses (dispatched:
+// inline for short rows, the backend for long ones).  Every
 // available GF kernel backend (scalar / ssse3 / avx2) gets its own axpy,
 // scale and xor_words series, registered at startup, so one run prints the
 // scalar-vs-SIMD throughput table directly.
@@ -83,6 +84,24 @@ void BM_Axpy_Dispatched(benchmark::State& state) {
                           static_cast<std::int64_t>(len));
 }
 BENCHMARK(BM_Axpy_Dispatched)->Arg(64)->Arg(1024)->Arg(16384);
+
+// xor_words through the public dispatcher: spans of up to
+// gf::kInlineXorWords words take the inline loop, longer ones the backend.
+void BM_XorWords_Dispatched(benchmark::State& state) {
+  const auto words = static_cast<std::size_t>(state.range(0));
+  ag::sim::Rng rng(11);
+  std::vector<std::uint64_t> dst(words), src(words);
+  for (auto& x : dst) x = rng();
+  for (auto& x : src) x = rng();
+  for (auto _ : state) {
+    ag::gf::xor_words(dst, src);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(words) * 8);
+}
+BENCHMARK(BM_XorWords_Dispatched)->Arg(1)->Arg(2)->Arg(4)->Arg(64)->Arg(1024);
 
 // Per-backend kernel series, registered in main() for each backend this
 // build + CPU supports.

@@ -7,14 +7,18 @@
 /// contiguous shards (core/shard_plan.hpp) and runs each synchronous round
 /// as two data-parallel phases around a deterministic merge:
 ///
-///   Phase A (activate): every shard walks its own activators, drawing
-///     partner / combination / loss decisions and appending finished
-///     packets to a shard-local outbox.  Decoder state is only READ here
-///     (combination builders never touch scratch), so cross-shard partner
-///     reads are safe.
-///   Phase B (deliver): every shard collects the envelopes destined to its
-///     own node range from ALL outboxes, sorts them by (sender key, dest),
-///     and inserts.  Writes are confined to the shard's own nodes -- its
+///   Phase A (activate): every shard walks its own activators twice.  The
+///     first pass draws every live node's partner into a shard-local array;
+///     the second draws combination / loss decisions, prefetching the
+///     partner state a fixed distance ahead, and appends finished packets to
+///     a shard-local outbox (envelopes plus one flat slab of their symbols).
+///     Decoder state is only READ here (combination builders never touch
+///     scratch), so cross-shard partner reads are safe.
+///   Phase B (deliver): every shard buckets the envelopes destined to its
+///     own node range from ALL outboxes by destination -- a stable counting
+///     sort over the outboxes in shard order -- and inserts in ascending
+///     destination order, so the writes sweep the shard's decoder state
+///     front to back.  Writes are confined to the shard's own nodes -- its
 ///     decoder rows, its finish rounds, its scratch stripe
 ///     (swarm_storage.hpp's per-shard stripes), its tally.
 ///   Barrier: the caller thread folds the tallies into the swarm counters,
@@ -26,11 +30,16 @@
 ///     first draw of sim::Rng::for_run(seed, run_index).  The draw sequence
 ///     of an activation (partner, v's combination, v's loss, partner's
 ///     reply combination, reply loss -- in that order) is therefore
-///     independent of which shard executes it.
-///   * The merge sorts by (key, to) with key = activator * 2 + leg
-///     (leg 1 = the EXCHANGE reply).  Each node activates once per round,
-///     so (key, to) is unique and the insertion order at every destination
-///     is a pure function of the round's messages.
+///     independent of which shard executes it, and drawing every partner in
+///     a first pass leaves each node's own sequence unchanged.
+///   * Each outbox is in key order, key = activator * 2 + leg (leg 1 = the
+///     EXCHANGE reply), and shards own ascending activator ranges, so the
+///     outboxes read in shard order are in key order and the stable bucket
+///     delivers every destination its messages in key order.  That
+///     per-destination order -- not a global total order -- is the
+///     invariant: inserts, the tally and the discard filter only observe
+///     the order within one destination, a pure function of the round's
+///     messages.
 /// The invariant "sharded(1) == sharded(S)" is pinned by
 /// tests/test_sharded_run.cpp and a TSan CI leg.  Note the engine is
 /// intentionally NOT stream-compatible with the single-Rng serial
@@ -51,6 +60,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -121,6 +132,11 @@ class ShardedUniformAG {
         plan_(topo_->node_count(), resolve_shards(shards)),
         pool_(plan_.shard_count()),
         shard_state_(plan_.shard_count()) {
+    if (topo_->node_count() != 0) {
+      const auto& d = swarm_.node(0);
+      coeff_width_ = d.stride() - d.payload_length();
+      stride_ = d.stride();
+    }
     if (cfg.time_model != sim::TimeModel::Synchronous) {
       throw std::invalid_argument(
           "ShardedUniformAG: only the synchronous time model shards "
@@ -170,7 +186,8 @@ class ShardedUniformAG {
       dropped_ += st.dropped;
       delivered_ += st.delivered;
       st.sent = st.dropped = st.delivered = 0;
-      st.out_n = 0;
+      st.out.clear();
+      st.slab.clear();
       if (cfg_.discard_same_sender_per_round) st.seen.clear();
     }
     ++round_;
@@ -202,31 +219,42 @@ class ShardedUniformAG {
   }
 
  private:
-  /// A round message: key orders same-destination insertions
-  /// shard-count-independently; leg 1 is the EXCHANGE reply.
+  using symbol_type = typename decltype(packet_type::coeffs)::value_type;
+
+  /// Partners drawn ahead in phase A; the prefetch runs this many
+  /// activations ahead of the combination that reads the partner.
+  static constexpr std::size_t kPrefetchDistance = 8;
+  static constexpr graph::NodeId kIdle = ~graph::NodeId{0};
+
+  /// A round message.  Its symbols are slot i of its outbox's slab, i its
+  /// index in the outbox.
   struct Envelope {
-    std::uint64_t key = 0;
     graph::NodeId from = 0;
     graph::NodeId to = 0;
-    packet_type pkt;
   };
 
-  /// Everything one shard touches during a round.  Slot vectors are reused
-  /// across rounds (out_n high-water discipline) so the steady state
-  /// allocates nothing, matching the serial mailbox's pooled slots.
+  /// Where phase B finds a message: outbox (= shard) and index.
+  struct MessageRef {
+    std::uint32_t shard = 0;
+    std::uint32_t index = 0;
+  };
+
+  /// Everything one shard touches during a round.  Buffers are cleared, not
+  /// freed, at the barrier, so the steady state allocates nothing.
   struct ShardState {
-    std::vector<Envelope> out;
-    std::size_t out_n = 0;
-    std::vector<const Envelope*> batch;
+    std::vector<Envelope> out;       // this round's messages, in key order
+    std::vector<symbol_type> slab;   // out[i]'s [coeffs | payload] at slot i
+    std::vector<graph::NodeId> partner;  // phase A: per-activator partner
+    std::vector<std::uint32_t> bucket;   // phase B: per-destination offsets
+    std::vector<MessageRef> inbox;       // phase B: messages by destination
     typename swarm_type::ReceiveTally tally;
     std::uint64_t sent = 0, dropped = 0, delivered = 0;
     std::unordered_set<std::uint64_t> seen;  // discard_same_sender filter
-    packet_type buf;                         // reusable combine scratch
+    packet_type pkt;  // combine scratch (phase A), delivery copy (phase B)
   };
 
-  Envelope& next_slot(ShardState& st) {
-    if (st.out_n == st.out.size()) st.out.emplace_back();
-    return st.out[st.out_n++];
+  bool live(graph::NodeId v) const {
+    return topo_->alive(v) && topo_->degree(v) != 0;
   }
 
   /// Loss decision for one packet, drawn from the SENDER's activation
@@ -237,71 +265,97 @@ class ShardedUniformAG {
     return !rng.bernoulli(cfg_.drop_probability);
   }
 
-  void enqueue(ShardState& st, sim::Rng& rng, std::uint64_t key,
-               graph::NodeId from, graph::NodeId to, const packet_type& pkt) {
+  void enqueue(ShardState& st, sim::Rng& rng, graph::NodeId from,
+               graph::NodeId to) {
     ++st.sent;
     if (!admits(rng)) {
       ++st.dropped;
       return;
     }
-    Envelope& e = next_slot(st);
-    e.key = key;
-    e.from = from;
-    e.to = to;
-    e.pkt = pkt;  // reuses the slot's buffers after the first round
+    assert(st.pkt.coeffs.size() == coeff_width_ &&
+           st.pkt.coeffs.size() + st.pkt.payload.size() == stride_);
+    assert(st.out.size() < ~std::uint32_t{0});
+    st.out.push_back({from, to});
+    st.slab.insert(st.slab.end(), st.pkt.coeffs.begin(), st.pkt.coeffs.end());
+    st.slab.insert(st.slab.end(), st.pkt.payload.begin(), st.pkt.payload.end());
+  }
+
+  bool combine(graph::NodeId v, sim::Rng& rng, ShardState& st) {
+    return swarm_.combine_into(v, rng, cfg_.recode, cfg_.coding_density, st.pkt);
   }
 
   void activate_shard(std::size_t s) {
     ShardState& st = shard_state_[s];
     const auto lo = static_cast<graph::NodeId>(plan_.begin(s));
     const auto hi = static_cast<graph::NodeId>(plan_.end(s));
+    if (cfg_.direction == sim::Direction::Broadcast) {
+      for (graph::NodeId v = lo; v < hi; ++v) {
+        sim::Rng& rng = rngs_[v];
+        if (!live(v) || !combine(v, rng, st)) continue;
+        for (const graph::NodeId u : topo_->neighbors(v)) enqueue(st, rng, v, u);
+      }
+      return;
+    }
+    // Pass 1: the partner is the first draw of every activation.
+    st.partner.resize(hi - lo);
     for (graph::NodeId v = lo; v < hi; ++v) {
-      if (!topo_->alive(v) || topo_->degree(v) == 0) continue;
+      st.partner[v - lo] = live(v) ? topo_->sample(v, rngs_[v]) : kIdle;
+    }
+    // Pass 2: the partner's rows are read only by a reply combination.
+    const bool reads_partner = cfg_.direction != sim::Direction::Push;
+    for (std::size_t i = 0; i < st.partner.size(); ++i) {
+      if (reads_partner && i + kPrefetchDistance < st.partner.size() &&
+          st.partner[i + kPrefetchDistance] != kIdle) {
+        swarm_.prefetch(st.partner[i + kPrefetchDistance]);
+      }
+      const graph::NodeId u = st.partner[i];
+      if (u == kIdle) continue;
+      const auto v = static_cast<graph::NodeId>(lo + i);
       sim::Rng& rng = rngs_[v];
-      if (cfg_.direction == sim::Direction::Broadcast) {
-        if (!swarm_.combine_into(v, rng, cfg_.recode, cfg_.coding_density, st.buf))
-          continue;
-        for (const graph::NodeId u : topo_->neighbors(v)) {
-          enqueue(st, rng, static_cast<std::uint64_t>(v) * 2, v, u, st.buf);
-        }
-        continue;
+      if (cfg_.direction != sim::Direction::Pull && combine(v, rng, st)) {
+        enqueue(st, rng, v, u);
       }
-      const graph::NodeId u = topo_->sample(v, rng);
-      if (cfg_.direction != sim::Direction::Pull &&
-          swarm_.combine_into(v, rng, cfg_.recode, cfg_.coding_density, st.buf)) {
-        enqueue(st, rng, static_cast<std::uint64_t>(v) * 2, v, u, st.buf);
-      }
-      if (cfg_.direction != sim::Direction::Push &&
-          swarm_.combine_into(u, rng, cfg_.recode, cfg_.coding_density, st.buf)) {
-        enqueue(st, rng, static_cast<std::uint64_t>(v) * 2 + 1, u, v, st.buf);
-      }
+      if (reads_partner && combine(u, rng, st)) enqueue(st, rng, u, v);
     }
   }
 
   void deliver_shard(std::size_t s) {
     ShardState& st = shard_state_[s];
-    st.batch.clear();
+    const std::size_t lo = plan_.begin(s);
+    const std::size_t nodes = plan_.end(s) - lo;
+    // Stable counting sort by destination over the outboxes in shard order,
+    // i.e. in key order: each destination gets its messages in key order,
+    // the only order an insert, the tally or the discard filter can see.
+    st.bucket.assign(nodes + 1, 0);
     for (const ShardState& src : shard_state_) {
-      for (std::size_t i = 0; i < src.out_n; ++i) {
-        const Envelope& e = src.out[i];
-        if (plan_.shard_of(e.to) == s) st.batch.push_back(&e);
+      for (const Envelope& e : src.out) {
+        if (e.to - lo < nodes) ++st.bucket[e.to - lo + 1];
       }
     }
-    // (key, to) is unique per round (one activation per node), so this is a
-    // strict total order and the insertion sequence at every destination is
-    // shard-count-independent.
-    std::sort(st.batch.begin(), st.batch.end(),
-              [](const Envelope* a, const Envelope* b) {
-                return a->key != b->key ? a->key < b->key : a->to < b->to;
-              });
-    for (const Envelope* e : st.batch) {
+    std::partial_sum(st.bucket.begin(), st.bucket.end(), st.bucket.begin());
+    st.inbox.resize(st.bucket[nodes]);
+    for (std::uint32_t j = 0; j < shard_state_.size(); ++j) {
+      const std::vector<Envelope>& out = shard_state_[j].out;
+      for (std::uint32_t i = 0; i < out.size(); ++i) {
+        if (out[i].to - lo < nodes) st.inbox[st.bucket[out[i].to - lo]++] = {j, i};
+      }
+    }
+    st.pkt.coeffs.resize(coeff_width_);
+    st.pkt.payload.resize(stride_ - coeff_width_);
+    for (const MessageRef m : st.inbox) {
+      const ShardState& src = shard_state_[m.shard];
+      const Envelope& e = src.out[m.index];
       if (cfg_.discard_same_sender_per_round) {
         const std::uint64_t pair =
-            (static_cast<std::uint64_t>(e->from) << 32) | e->to;
+            (static_cast<std::uint64_t>(e.from) << 32) | e.to;
         if (!st.seen.insert(pair).second) continue;  // deterministic: key order
       }
+      const std::span<const symbol_type> sym =
+          std::span(src.slab).subspan(m.index * stride_, stride_);
+      std::copy(sym.begin(), sym.begin() + coeff_width_, st.pkt.coeffs.begin());
+      std::copy(sym.begin() + coeff_width_, sym.end(), st.pkt.payload.begin());
       ++st.delivered;
-      swarm_.receive_tallied(e->to, e->pkt, round_, st.tally);
+      swarm_.receive_tallied(e.to, st.pkt, round_, st.tally);
     }
   }
 
@@ -312,6 +366,8 @@ class ShardedUniformAG {
   ShardPool pool_;
   std::vector<sim::Rng> rngs_;  // one stream per node
   std::vector<ShardState> shard_state_;
+  std::size_t coeff_width_ = 0;  // symbols per coefficient vector
+  std::size_t stride_ = 0;       // slab symbols per message: coeffs + payload
   std::uint64_t round_ = 0;
   std::uint64_t sent_ = 0, dropped_ = 0, delivered_ = 0;
 };

@@ -181,6 +181,10 @@ class RlncSwarm {
     return store_.at(v).random_combination_into(rng, density, out);
   }
 
+  /// Cache hint: node v's decoder state is about to be read (e.g. by
+  /// combine_into).  Never changes a result.
+  void prefetch(graph::NodeId v) const noexcept { store_.prefetch(v); }
+
   /// Receive path: inserts into `to`'s decoder, updating completion
   /// tracking.  `now_round` stamps the completion time.  Returns true iff
   /// the packet was helpful (increased `to`'s rank).

@@ -28,6 +28,7 @@
 ///   at(v) -> D& or ref-view       decoder access (value-semantics views OK)
 ///   reset(v)                      return node v to the empty-decoder state
 ///   configure_shards(s)           size the scratch pool for s-way sharding
+///   prefetch(v)                   cache hint ahead of reading v's rows
 ///   memory_bytes()                decoder-state footprint (for benches)
 ///
 /// Thread-safety: with the default single-shard plan, one swarm is owned by
@@ -40,6 +41,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/shard_plan.hpp"
@@ -47,6 +49,20 @@
 #include "linalg/rank_tracker.hpp"
 
 namespace ag::core {
+
+namespace detail {
+
+/// Issues a read prefetch for every 64-byte line `s` touches.  A hint only:
+/// results never depend on it.
+template <typename T>
+void prefetch_lines(std::span<const T> s) noexcept {
+  if (s.empty()) return;
+  constexpr std::size_t kStep = sizeof(T) >= 64 ? 1 : 64 / sizeof(T);
+  for (std::size_t i = 0; i < s.size(); i += kStep) __builtin_prefetch(&s[i]);
+  __builtin_prefetch(&s.back());
+}
+
+}  // namespace detail
 
 /// \brief Default storage: a plain vector of self-contained decoders.
 template <typename D>
@@ -70,6 +86,9 @@ class VectorNodeStore {
   /// No-op: every decoder object already owns its scratch, so the store is
   /// shard-safe under the contiguous-range discipline as constructed.
   void configure_shards(std::size_t /*shards*/) {}
+
+  /// No-op: each decoder's rows sit behind its own heap pointer.
+  void prefetch(graph::NodeId /*v*/) const noexcept {}
 
   /// Decoder-state footprint: the sum of the decoders' exact footprints.
   /// Arenas are sized for full rank up front, so this is capacity, not
@@ -140,6 +159,14 @@ class DenseRankStore {
     scratch_.assign(plan_.shard_count() * k_, F::zero);
   }
 
+  /// Prefetches node v's rank counter and row block (what a combination
+  /// reads), ahead of a random-partner access.
+  void prefetch(graph::NodeId v) const noexcept {
+    __builtin_prefetch(rank_.data() + v);
+    detail::prefetch_lines(std::span<const value_type>(arena_).subspan(
+        static_cast<std::size_t>(v) * k_ * k_, k_ * k_));
+  }
+
   std::size_t memory_bytes() const noexcept {
     return arena_.size() * sizeof(value_type) +
            pivot_row_.size() * sizeof(std::uint32_t) +
@@ -204,6 +231,14 @@ class BitRankStore {
   void configure_shards(std::size_t shards) {
     plan_ = ShardPlan(n_, shards);
     scratch_.assign(plan_.shard_count() * words_, 0);
+  }
+
+  /// Prefetches node v's rank counter and row block; see
+  /// DenseRankStore::prefetch.
+  void prefetch(graph::NodeId v) const noexcept {
+    __builtin_prefetch(rank_.data() + v);
+    detail::prefetch_lines(std::span<const std::uint64_t>(arena_).subspan(
+        static_cast<std::size_t>(v) * k_ * words_, k_ * words_));
   }
 
   std::size_t memory_bytes() const noexcept {

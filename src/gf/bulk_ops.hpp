@@ -115,14 +115,21 @@ void scale(std::span<typename F::value_type> dst, typename F::value_type c) noex
   }
 }
 
-/// Word-parallel XOR for bit-packed GF(2) rows: dst ^= src, routed through
-/// the active backend (128/256-bit vector XOR under SSSE3/AVX2).
+/// Word-parallel XOR for bit-packed GF(2) rows: dst ^= src.  Spans of up to
+/// kInlineXorWords words (every coefficient row at k <= 256) take an inline
+/// scalar loop; longer ones go through the active backend (128/256-bit
+/// vector XOR under SSSE3/AVX2), where the indirect call pays for itself.
+inline constexpr std::size_t kInlineXorWords = 4;
+
 inline void xor_words(std::span<std::uint64_t> dst,
                       std::span<const std::uint64_t> src) noexcept {
   assert(dst.size() == src.size() && "gf::xor_words: span length mismatch");
   assert(detail::spans_disjoint(dst.data(), src.data(), dst.size() * 8) &&
          "gf::xor_words: dst and src overlap");
-  if (dst.empty()) return;
+  if (dst.size() <= kInlineXorWords) {
+    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
+    return;
+  }
   backend::active().xor_words(dst.data(), src.data(), dst.size());
 }
 

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,31 @@ TEST_P(GfBackendDifferential, AgreesWithScalarBackend) {
       ref.scale_u8(b.data(), len, c);
       ASSERT_EQ(a, b) << "scale backend=" << kt->name << " len=" << len
                       << " c=" << static_cast<int>(c);
+    }
+  }
+}
+
+// The public dispatcher: spans up to gf::kInlineXorWords take an inline loop,
+// longer ones the active backend.  Both paths, at unaligned offsets, must
+// match the scalar kernel (run under each AG_GF_BACKEND by the CI matrix).
+TEST(GfBackend, DispatchedXorWordsMatchesScalar) {
+  const be::KernelTable& ref = be::detail::scalar_kernels();
+  std::uint64_t seed = 5000;
+  for (std::size_t words = 0; words <= 9; ++words) {
+    for (std::size_t off = 0; off < 4; ++off) {
+      ++seed;
+      const std::size_t dst_off = off, src_off = (off * 3 + 1) % 4;
+      std::vector<std::uint64_t> dst(4 + words), src(4 + words);
+      for (std::size_t i = 0; i < dst.size(); ++i) {
+        dst[i] = pattern(seed, i) * 0x0101010101010101ull;
+        src[i] = pattern(seed + 1, i) * 0x0101010101010101ull;
+      }
+      std::vector<std::uint64_t> expected = dst;
+      ref.xor_words(expected.data() + dst_off, src.data() + src_off, words);
+      ag::gf::xor_words(std::span(dst).subspan(dst_off, words),
+                        std::span<const std::uint64_t>(src).subspan(src_off, words));
+      ASSERT_EQ(dst, expected) << "words=" << words << " dst_off=" << dst_off
+                               << " src_off=" << src_off;
     }
   }
 }

@@ -234,8 +234,8 @@ TEST(ShardedRun, LossyLinksMatchSerial) {
 
 TEST(ShardedRun, DiscardSameSenderFilterMatchesSerial) {
   // Theorem 1's discard rule: a second same-(from,to) message in one round
-  // is dropped.  First-wins is resolved in (key, to) order, which the file
-  // comment argues is shard-count-independent; this pins it.
+  // is dropped.  First-wins is resolved in per-destination key order, which
+  // the file comment argues is shard-count-independent; this pins it.
   const std::size_t n = 16, k = 8;
   const core::Placement pl = fixed_placement(k, n, 0x5EED05);
   auto make = [&] {
@@ -438,6 +438,22 @@ TEST(ShardedGoldenTrace, Gf2GridLossyExchange) {
   expect_sharded_golden<core::Gf2Decoder,
                         core::VectorNodeStore<core::Gf2Decoder>>(
       {"sharded_gf2_grid_sync_loss25", 0x6014, {24, 25, 24, 25}},
+      [&] { return std::unique_ptr<sim::TopologyView>(new sim::StaticTopology(g)); },
+      pl, cfg);
+}
+
+TEST(ShardedGoldenTrace, Gf2GeometricBroadcastDiscardLossy) {
+  // One key fans out to every neighbour, so this is where delivery bucketed
+  // by destination and a global (key, to) order differ most; per destination
+  // both are key order, which is all an insert or the discard filter sees.
+  const graph::Graph g = graph::make_random_geometric(24, 0.4, 0x6015);
+  const core::Placement pl = fixed_placement(8, g.node_count(), 0x6015);
+  core::AgConfig cfg;
+  cfg.direction = sim::Direction::Broadcast;
+  cfg.discard_same_sender_per_round = true;
+  cfg.drop_probability = 0.25;
+  expect_sharded_golden<linalg::BitRankTracker, core::BitRankStore>(
+      {"sharded_gf2_geometric_broadcast_discard_loss25", 0x6015, {13, 12, 11, 11}},
       [&] { return std::unique_ptr<sim::TopologyView>(new sim::StaticTopology(g)); },
       pl, cfg);
 }
