@@ -5,7 +5,7 @@
 // per node (O(k^2) coefficients + O(k * payload) arena, a handful of heap
 // blocks each) stalls sweeps around a few hundred nodes.  This harness runs
 // the rank-only path (linalg/rank_tracker.hpp + the pooled SoA stores of
-// core/swarm_storage.hpp + implicit/CSR topologies) at n up to 100k and
+// core/swarm_storage.hpp + implicit/static topologies) at n up to 100k and
 // checks two things:
 //
 //   1. EXACTNESS.  On overlapping small-n configurations the rank-only
@@ -44,7 +44,6 @@
 #include "core/sharded_round.hpp"
 #include "core/swarm_storage.hpp"
 #include "core/uniform_ag.hpp"
-#include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 #include "linalg/rank_tracker.hpp"
 #include "sim/engine.hpp"
@@ -148,10 +147,10 @@ int main() {
   cases.push_back({"barbell n=32 (implicit)", graph::make_barbell(32),
                    [] { return std::make_unique<sim::BarbellTopology>(32); }, 8});
   {
-    graph::Graph grid = graph::make_grid(8, 8);
-    graph::CsrGraph csr(grid);
-    cases.push_back({"grid 8x8 (CSR)", std::move(grid),
-                     [csr] { return std::make_unique<sim::CsrTopology>(csr); }, 16});
+    auto grid = std::make_shared<const graph::Graph>(graph::make_grid(8, 8));
+    cases.push_back({"grid 8x8 (static)", *grid,
+                     [grid] { return std::make_unique<sim::StaticTopology>(*grid); },
+                     16});
   }
   for (const auto& c : cases) {
     const auto full = rounds_full(c.g, c.k, runs, 1000000);
@@ -208,11 +207,11 @@ int main() {
       const auto side = static_cast<std::size_t>(
           std::lround(std::sqrt(static_cast<double>(scaled(base)))));
       const std::size_t n = side * side;
-      // Sparse family: materialise once, freeze to CSR, share across runs.
-      graph::CsrGraph csr(graph::make_grid(side, side));
-      std::string summary = "grid(CSR) " + csr.summary();
+      // Sparse family: materialise once, share across runs.
+      auto grid = std::make_shared<const graph::Graph>(graph::make_grid(side, side));
+      std::string summary = "grid " + grid->summary();
       rows.push_back({"grid", std::move(summary), n,
-                      [csr] { return std::make_unique<sim::CsrTopology>(csr); },
+                      [grid] { return std::make_unique<sim::StaticTopology>(*grid); },
                       2000000});
     }
   }

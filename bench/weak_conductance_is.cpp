@@ -38,9 +38,9 @@ int main() {
   fams.push_back({"complete", graph::make_complete(n), 2});
   fams.push_back({"cycle", graph::make_cycle(n), 2});
   fams.push_back({"2 cliques, 2 bridges", [&] {
-                    auto g = graph::make_barbell(n);
+                    graph::GraphBuilder g(graph::make_barbell(n));
                     g.add_edge(0, static_cast<graph::NodeId>(n - 1));
-                    return g;
+                    return g.build();
                   }(), 2});
 
   agbench::Table table({"graph", "Phi (sweep)", "min cut", "#communities",

@@ -40,6 +40,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -129,7 +130,11 @@ graph::Graph build_graph(const Options& o) {
   if (!o.edge_list_path.empty()) {
     std::ifstream in(o.edge_list_path);
     if (!in) usage("cannot open edge list file");
-    return graph::from_edge_list(in);
+    try {
+      return graph::from_edge_list(in);
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
   }
   if (o.graph == "path") return graph::make_path(o.n);
   if (o.graph == "cycle") return graph::make_cycle(o.n);

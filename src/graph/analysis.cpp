@@ -165,7 +165,7 @@ std::size_t stoer_wagner_min_cut(const Graph& g) {
 CommunityStructure detect_communities(const Graph& g) {
   const std::size_t n = g.node_count();
   // Build the graph minus cut-like edges, then take components.
-  Graph dense(n);
+  GraphBuilder dense_builder(n);
   std::vector<char> is_nbr(n, 0);
   for (NodeId v = 0; v < n; ++v) {
     for (NodeId u : g.neighbors(v)) is_nbr[u] = 1;
@@ -175,10 +175,11 @@ CommunityStructure detect_communities(const Graph& g) {
       for (NodeId w : g.neighbors(u)) {
         if (is_nbr[w]) ++common;
       }
-      if (4 * common >= std::min(g.degree(v), g.degree(u))) dense.add_edge(v, u);
+      if (4 * common >= std::min(g.degree(v), g.degree(u))) dense_builder.add_edge(v, u);
     }
     for (NodeId u : g.neighbors(v)) is_nbr[u] = 0;
   }
+  const Graph dense = dense_builder.build();
 
   CommunityStructure cs;
   cs.community.assign(n, static_cast<std::size_t>(-1));
@@ -221,7 +222,8 @@ double weak_conductance_estimate(const Graph& g, double c) {
     }
     std::vector<std::size_t> local(n, 0);
     for (std::size_t i = 0; i < members.size(); ++i) local[members[i]] = i;
-    Graph sub(members.size());
+    if (members.size() < 2) continue;
+    GraphBuilder sub(members.size());
     for (NodeId v : members) {
       for (NodeId u : g.neighbors(v)) {
         if (u > v && cs.community[u] == id) {
@@ -229,8 +231,7 @@ double weak_conductance_estimate(const Graph& g, double c) {
         }
       }
     }
-    if (sub.node_count() < 2) continue;
-    worst = std::min(worst, conductance_sweep(sub));
+    worst = std::min(worst, conductance_sweep(sub.build()));
   }
   return std::isfinite(worst) ? worst : 0.0;
 }

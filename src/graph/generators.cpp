@@ -27,27 +27,27 @@ void portable_shuffle(std::vector<NodeId>& v, URBG& rng) {
 }  // namespace
 
 Graph make_path(std::size_t n) {
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
+  return g.build();
 }
 
 Graph make_cycle(std::size_t n) {
   if (n < 3) throw std::invalid_argument("cycle needs n >= 3");
-  Graph g = make_path(n);
+  GraphBuilder g(make_path(n));
   g.add_edge(static_cast<NodeId>(n - 1), 0);
-  return g;
+  return g.build();
 }
 
 Graph make_complete(std::size_t n) {
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId u = 0; u < n; ++u)
     for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
-  return g;
+  return g.build();
 }
 
 Graph make_grid(std::size_t rows, std::size_t cols) {
-  Graph g(rows * cols);
+  GraphBuilder g(rows * cols);
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);
   };
@@ -57,60 +57,60 @@ Graph make_grid(std::size_t rows, std::size_t cols) {
       if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
     }
   }
-  return g;
+  return g.build();
 }
 
 Graph make_torus(std::size_t rows, std::size_t cols) {
-  Graph g = make_grid(rows, cols);
+  GraphBuilder g(make_grid(rows, cols));
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);
   };
   for (std::size_t r = 0; r < rows; ++r) g.add_edge(id(r, 0), id(r, cols - 1));
   for (std::size_t c = 0; c < cols; ++c) g.add_edge(id(0, c), id(rows - 1, c));
-  return g;
+  return g.build();
 }
 
 Graph make_binary_tree(std::size_t n) {
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId i = 1; i < n; ++i) g.add_edge(i, (i - 1) / 2);
-  return g;
+  return g.build();
 }
 
 Graph make_star(std::size_t n) {
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId i = 1; i < n; ++i) g.add_edge(0, i);
-  return g;
+  return g.build();
 }
 
 Graph make_hypercube(std::size_t dim) {
   const std::size_t n = std::size_t{1} << dim;
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId u = 0; u < n; ++u) {
     for (std::size_t b = 0; b < dim; ++b) {
       const NodeId v = u ^ (NodeId{1} << b);
       if (u < v) g.add_edge(u, v);
     }
   }
-  return g;
+  return g.build();
 }
 
 Graph make_barbell(std::size_t n) {
   if (n < 4) throw std::invalid_argument("barbell needs n >= 4");
   const std::size_t left = n / 2;
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId u = 0; u < left; ++u)
     for (NodeId v = u + 1; v < left; ++v) g.add_edge(u, v);
   for (auto u = static_cast<NodeId>(left); u < n; ++u)
     for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
   g.add_edge(static_cast<NodeId>(left - 1), static_cast<NodeId>(left));
-  return g;
+  return g.build();
 }
 
 Graph make_clique_chain(std::size_t cliques, std::size_t clique_size) {
   if (cliques < 1 || clique_size < 2)
     throw std::invalid_argument("clique_chain needs cliques >= 1, clique_size >= 2");
   const std::size_t n = cliques * clique_size;
-  Graph g(n);
+  GraphBuilder g(n);
   for (std::size_t c = 0; c < cliques; ++c) {
     const auto base = static_cast<NodeId>(c * clique_size);
     for (NodeId u = 0; u < clique_size; ++u)
@@ -122,18 +122,18 @@ Graph make_clique_chain(std::size_t cliques, std::size_t clique_size) {
                  static_cast<NodeId>(base + clique_size));
     }
   }
-  return g;
+  return g.build();
 }
 
 Graph make_lollipop(std::size_t n, std::size_t clique_size) {
   if (clique_size < 2 || clique_size > n)
     throw std::invalid_argument("lollipop needs 2 <= clique_size <= n");
-  Graph g(n);
+  GraphBuilder g(n);
   for (NodeId u = 0; u < clique_size; ++u)
     for (NodeId v = u + 1; v < clique_size; ++v) g.add_edge(u, v);
   for (auto i = static_cast<NodeId>(clique_size); i < n; ++i)
     g.add_edge(i - 1, i);
-  return g;
+  return g.build();
 }
 
 Graph make_erdos_renyi(std::size_t n, double p, std::uint64_t seed) {
@@ -141,10 +141,11 @@ Graph make_erdos_renyi(std::size_t n, double p, std::uint64_t seed) {
   // defined; comparing a canonical double keeps seeded graphs portable.
   std::mt19937_64 rng(seed);
   for (int attempt = 0; attempt < 200; ++attempt) {
-    Graph g(n);
+    GraphBuilder b(n);
     for (NodeId u = 0; u < n; ++u)
       for (NodeId v = u + 1; v < n; ++v)
-        if (util::canonical_double(rng) < p) g.add_edge(u, v);
+        if (util::canonical_double(rng) < p) b.add_edge(u, v);
+    Graph g = b.build();
     if (is_connected(g)) return g;
   }
   throw std::invalid_argument("erdos_renyi: could not produce a connected graph; raise p");
@@ -161,21 +162,18 @@ Graph make_random_regular(std::size_t n, std::size_t d, std::uint64_t seed) {
     for (NodeId v = 0; v < n; ++v)
       for (std::size_t i = 0; i < d; ++i) stubs.push_back(v);
     portable_shuffle(stubs, rng);
-    Graph g(n);
-    bool simple = true;
-    for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-      if (!g.add_edge(stubs[i], stubs[i + 1])) {
-        simple = false;  // self-loop or duplicate: reject the whole pairing
-        break;
-      }
-    }
-    if (simple && is_connected(g)) return g;
+    GraphBuilder b(n);
+    std::size_t i = 0;
+    while (i < stubs.size() && b.add_edge(stubs[i], stubs[i + 1])) i += 2;
+    if (i < stubs.size()) continue;  // self-loop or duplicate: reject the pairing
+    Graph g = b.build();
+    if (is_connected(g)) return g;
   }
   throw std::invalid_argument("random_regular: rejection sampling failed; try different n, d");
 }
 
 Graph make_ring_with_chords(std::size_t n, std::size_t chords, std::uint64_t seed) {
-  Graph g = make_cycle(n);
+  GraphBuilder g(make_cycle(n));
   std::mt19937_64 rng(seed);
   const auto pick = [&rng, n] {
     return static_cast<NodeId>(util::uniform_below(rng, n));
@@ -188,7 +186,7 @@ Graph make_ring_with_chords(std::size_t n, std::size_t chords, std::uint64_t see
     const NodeId v = pick();
     if (g.add_edge(u, v)) ++added;
   }
-  return g;
+  return g.build();
 }
 
 Graph make_random_geometric(std::size_t n, double radius, std::uint64_t seed) {
@@ -204,14 +202,15 @@ Graph make_random_geometric(std::size_t n, double radius, std::uint64_t seed) {
       x[i] = util::canonical_double(rng);
       y[i] = util::canonical_double(rng);
     }
-    Graph g(n);
+    GraphBuilder b(n);
     for (NodeId u = 0; u < n; ++u) {
       for (NodeId v = u + 1; v < n; ++v) {
         const double dx = x[u] - x[v];
         const double dy = y[u] - y[v];
-        if (dx * dx + dy * dy <= r2) g.add_edge(u, v);
+        if (dx * dx + dy * dy <= r2) b.add_edge(u, v);
       }
     }
+    Graph g = b.build();
     if (is_connected(g)) return g;
   }
   throw std::invalid_argument(
@@ -222,7 +221,7 @@ Graph make_preferential_attachment(std::size_t n, std::size_t m, std::uint64_t s
   if (m < 1 || m + 1 > n)
     throw std::invalid_argument("preferential_attachment needs 1 <= m and m + 1 <= n");
   std::mt19937_64 rng(seed);
-  Graph g(n);
+  GraphBuilder g(n);
   // Degree-proportional sampling via the repeated-endpoints list: every
   // endpoint of every edge appears once, so a uniform draw from the list is
   // a draw proportional to degree.
@@ -258,7 +257,7 @@ Graph make_preferential_attachment(std::size_t n, std::size_t m, std::uint64_t s
     // bias this node's own attachment step.
     for (const NodeId t : targets) connect(v, t);
   }
-  return g;
+  return g.build();
 }
 
 }  // namespace ag::graph

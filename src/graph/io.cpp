@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -43,15 +44,21 @@ std::string to_edge_list(const Graph& g) {
 Graph from_edge_list(std::istream& in) {
   std::size_t n = 0;
   if (!(in >> n)) throw std::invalid_argument("edge list: missing node count");
-  Graph g(n);
+  if (n > std::numeric_limits<NodeId>::max())
+    throw std::invalid_argument("edge list: node count exceeds the NodeId range");
+  GraphBuilder g(n);
   NodeId u, v;
-  while (in >> u >> v) {
+  while (in >> u) {
+    if (!(in >> v)) throw std::invalid_argument("edge list: incomplete edge");
     if (u >= n || v >= n) throw std::invalid_argument("edge list: endpoint out of range");
     if (!g.add_edge(u, v)) {
       throw std::invalid_argument("edge list: self-loop or duplicate edge");
     }
   }
-  return g;
+  // Extraction stops either at end of input or at a token that is not a
+  // node id; only the former is a well-formed list.
+  if (!in.eof()) throw std::invalid_argument("edge list: malformed token");
+  return g.build();
 }
 
 Graph from_edge_list(const std::string& text) {

@@ -25,7 +25,8 @@ std::string to_dot(const Graph& g, const SpanningTree& tree,
 std::string to_edge_list(const Graph& g);
 
 // Parses the edge-list format; throws std::invalid_argument on malformed
-// input, out-of-range endpoints, self-loops, or duplicate edges.
+// input (a non-numeric token, a dangling endpoint, a node count beyond the
+// NodeId range), out-of-range endpoints, self-loops, or duplicate edges.
 Graph from_edge_list(std::istream& in);
 Graph from_edge_list(const std::string& text);
 

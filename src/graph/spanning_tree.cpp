@@ -67,11 +67,11 @@ std::vector<std::vector<NodeId>> SpanningTree::children() const {
 }
 
 Graph SpanningTree::as_graph() const {
-  Graph g(parent_.size());
+  GraphBuilder g(parent_.size());
   for (NodeId v = 0; v < parent_.size(); ++v) {
     if (parent_[v] != kNoParent) g.add_edge(v, parent_[v]);
   }
-  return g;
+  return g.build();
 }
 
 bool SpanningTree::is_subgraph_of(const Graph& g) const {

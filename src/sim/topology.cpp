@@ -105,13 +105,13 @@ std::unique_ptr<ScriptedTopology> make_rotating_barbell(std::size_t n,
   std::vector<graph::Graph> phases;
   phases.reserve(rotations);
   for (std::size_t i = 0; i < rotations; ++i) {
-    graph::Graph g(n);
+    graph::GraphBuilder g(n);
     for (NodeId u = 0; u < left; ++u)
       for (NodeId v = u + 1; v < left; ++v) g.add_edge(u, v);
     for (NodeId u = static_cast<NodeId>(left); u < n; ++u)
       for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
     g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(left + i));
-    phases.push_back(std::move(g));
+    phases.push_back(g.build());
   }
   return std::make_unique<ScriptedTopology>(std::move(phases), period);
 }
@@ -125,13 +125,13 @@ std::unique_ptr<ScriptedTopology> make_periodic_partition(
     }
     return false;
   };
-  graph::Graph partitioned(g.node_count());
+  graph::GraphBuilder partitioned(g.node_count());
   for (const auto& [u, v] : g.edges()) {
     if (!in_cut(u, v)) partitioned.add_edge(u, v);
   }
   std::vector<graph::Graph> phases;
   phases.push_back(g);  // phase 0: healed
-  phases.push_back(std::move(partitioned));
+  phases.push_back(partitioned.build());
   return std::make_unique<ScriptedTopology>(std::move(phases), period);
 }
 

@@ -27,11 +27,10 @@
 /// caller's Graph, which must outlive the protocol, exactly like the old
 /// `const Graph&` members.
 ///
-/// Large-n views: CsrTopology serves a frozen, flat-array CsrGraph;
-/// CompleteTopology and BarbellTopology are *implicit* -- they answer
-/// degree() and sample() in O(1) without materialising the Theta(n^2) edge
-/// set, which is what lets stopping-time sweeps run at n = 100k on the
-/// clique families (see bench/large_n_sweep).
+/// Large-n views: CompleteTopology and BarbellTopology are *implicit* --
+/// they answer degree() and sample() in O(1) without materialising the
+/// Theta(n^2) edge set, which is what lets stopping-time sweeps run at
+/// n = 100k on the clique families (see bench/large_n_sweep).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +39,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 #include "sim/rng.hpp"
 
@@ -105,27 +103,7 @@ class StaticTopology final : public TopologyView {
   const graph::Graph* g_;
 };
 
-/// (b) Static graph in frozen CSR form: flat offsets+targets instead of one
-/// heap vector per node.  Owns the CsrGraph by value; neighbor order is the
-/// source Graph's, so runs are stream-identical to StaticTopology over the
-/// same graph.  The memory-lean choice for sparse families at n >= 100k.
-class CsrTopology final : public TopologyView {
- public:
-  explicit CsrTopology(graph::CsrGraph g) : g_(std::move(g)) {}
-  explicit CsrTopology(const graph::Graph& g) : g_(g) {}
-
-  std::size_t node_count() const override { return g_.node_count(); }
-  std::span<const NodeId> neighbors(NodeId v) const override { return g_.neighbors(v); }
-  std::size_t degree(NodeId v) const override { return g_.degree(v); }
-  bool is_static() const override { return true; }
-
-  const graph::CsrGraph& graph() const noexcept { return g_; }
-
- private:
-  graph::CsrGraph g_;
-};
-
-/// (e) Implicit complete graph K_n: degree() and sample() in O(1), no edge
+/// (b) Implicit complete graph K_n: degree() and sample() in O(1), no edge
 /// storage at all.  sample() maps one uniform draw over [0, n-1) onto the
 /// sorted all-but-self neighbor list -- exactly the list make_complete
 /// builds -- so runs match an explicit complete graph draw for draw.
@@ -163,7 +141,7 @@ class CompleteTopology final : public TopologyView {
   std::size_t n_;
 };
 
-/// (f) Implicit barbell: two cliques of floor(n/2) and ceil(n/2) nodes
+/// (c) Implicit barbell: two cliques of floor(n/2) and ceil(n/2) nodes
 /// joined by the single bridge (n/2 - 1, n/2), the paper's Omega(n^2) worst
 /// case -- without the Theta(n^2) edge arrays.  Index-to-neighbor maps
 /// reproduce make_barbell's adjacency order exactly (clique neighbors
@@ -218,7 +196,7 @@ class BarbellTopology final : public TopologyView {
   std::size_t left_;
 };
 
-/// (c) Node churn: each round every alive node leaves with probability
+/// (d) Node churn: each round every alive node leaves with probability
 /// `leave_probability` and every absent node rejoins with probability
 /// `rejoin_probability`, all drawn from the topology's own seeded Rng.
 /// `min_alive_fraction` floors how many nodes may be down at once (leaves
@@ -266,7 +244,7 @@ class ChurnTopology final : public TopologyView {
   std::vector<NodeId> rejoined_;
 };
 
-/// (d) Scripted/adversarial sequences: a fixed list of same-sized graphs and
+/// (e) Scripted/adversarial sequences: a fixed list of same-sized graphs and
 /// a round -> phase-index schedule.  The default schedule cycles through the
 /// phases every `period` rounds; an arbitrary schedule function covers
 /// adversarial patterns that are not periodic.

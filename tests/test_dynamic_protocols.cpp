@@ -279,13 +279,13 @@ TEST(DynamicTag, IsPolicyHandlesNodeIsolatedAtConstruction) {
   // but gains them in phase 1: the odd-step pick must fall back to a
   // uniform choice instead of a modulo-by-zero on the empty list, and the
   // run must still complete.
-  graph::Graph isolated(6);
+  graph::GraphBuilder isolated(6);
   isolated.add_edge(0, 1);
   isolated.add_edge(1, 2);
   isolated.add_edge(2, 3);
   isolated.add_edge(3, 4);
   std::vector<graph::Graph> phases;
-  phases.push_back(std::move(isolated));
+  phases.push_back(isolated.build());
   phases.push_back(graph::make_cycle(6));
   sim::Rng rng(313);
   const auto pl = core::uniform_distinct(3, 6, rng);

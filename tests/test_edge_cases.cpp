@@ -88,7 +88,7 @@ TEST(DecoderEdgeTest, AdversarialInsertOrderStillRref) {
 }
 
 TEST(GraphEdgeTest, SingletonAndTinyGraphs) {
-  const graph::Graph g1(1);
+  const graph::Graph g1 = graph::GraphBuilder(1).build();
   EXPECT_TRUE(graph::is_connected(g1));
   EXPECT_EQ(graph::diameter(g1), 0u);
   const auto p2 = graph::make_path(2);
@@ -99,7 +99,7 @@ TEST(GraphEdgeTest, SingletonAndTinyGraphs) {
 }
 
 TEST(ProtocolEdgeTest, SingleMessageSingleNodeIsInstantlyDone) {
-  const graph::Graph g(1);
+  const graph::Graph g = graph::GraphBuilder(1).build();
   sim::Rng rng(62);
   AgConfig cfg;
   UniformAG<Gf256Decoder> proto(g, single_source(1, 0), cfg);

@@ -1,8 +1,12 @@
-// Graph substrate tests: generator invariants (sizes, degrees, connectivity,
-// known diameters), BFS/shortest-path correctness, and spanning-tree checks.
+// Graph substrate tests: GraphBuilder semantics and row order, generator
+// invariants (sizes, degrees, connectivity, known diameters), has_edge
+// against the edge list, BFS/shortest-path correctness, and spanning-tree
+// checks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -14,14 +18,113 @@ namespace {
 using namespace ag::graph;
 
 TEST(GraphTest, AddEdgeRejectsLoopsAndDuplicates) {
-  Graph g(3);
-  EXPECT_TRUE(g.add_edge(0, 1));
-  EXPECT_FALSE(g.add_edge(1, 0));  // duplicate (other direction)
-  EXPECT_FALSE(g.add_edge(2, 2));  // loop
+  GraphBuilder b(3);
+  EXPECT_TRUE(b.add_edge(0, 1));
+  EXPECT_FALSE(b.add_edge(1, 0));  // duplicate (other direction)
+  EXPECT_FALSE(b.add_edge(2, 2));  // loop
+  const Graph g = b.build();
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
   EXPECT_FALSE(g.has_edge(0, 2));
+}
+
+// Order-sensitive checksum over every row (degree, then neighbors in order).
+std::uint64_t row_checksum(const Graph& g) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    h = (h ^ g.degree(v)) * 1099511628211ull;
+    for (const NodeId u : g.neighbors(v)) h = (h ^ u) * 1099511628211ull;
+  }
+  return h;
+}
+
+std::vector<NodeId> row(const Graph& g, NodeId v) {
+  const auto nbrs = g.neighbors(v);
+  return {nbrs.begin(), nbrs.end()};
+}
+
+// neighbors() order is part of the RNG-stream contract: partner selection
+// indexes it.  The checksums were captured on the pre-CSR adjacency-list
+// Graph; all four graphs have unsorted rows, and make_cycle and
+// make_preferential_attachment feed the golden traces.
+TEST(GraphBuilder, RowsKeepInsertionOrder) {
+  GraphBuilder b(4);
+  b.add_edge(0, 3);
+  b.add_edge(0, 1);
+  b.add_edge(0, 2);
+  const Graph g = b.build();
+  EXPECT_EQ(row(g, 0), (std::vector<NodeId>{3, 1, 2}));
+  EXPECT_EQ(row(g, 3), (std::vector<NodeId>{0}));
+
+  struct Pinned {
+    Graph g;
+    std::uint64_t checksum;
+  };
+  const std::vector<Pinned> pinned = {
+      {make_ring_with_chords(24, 10, 7), 0xb46aa170b512342cull},
+      {make_random_regular(16, 4, 9), 0x0df5c755e7379c97ull},
+      {make_preferential_attachment(20, 2, 915), 0x2fbff509b200e816ull},
+      {make_cycle(16), 0xf340b01a836f837full},
+  };
+  for (const auto& p : pinned) {
+    EXPECT_EQ(row_checksum(p.g), p.checksum) << p.g.summary();
+    // Thawing and rebuilding reproduces every row; the thawed duplicate
+    // probe already knows every edge.
+    GraphBuilder thaw(p.g);
+    const auto [x, y] = p.g.edges().front();
+    EXPECT_FALSE(thaw.add_edge(y, x));
+    const Graph thawed = thaw.build();
+    ASSERT_EQ(thawed.node_count(), p.g.node_count());
+    EXPECT_EQ(thawed.edge_count(), p.g.edge_count());
+    for (NodeId v = 0; v < p.g.node_count(); ++v) EXPECT_EQ(row(thawed, v), row(p.g, v));
+  }
+}
+
+TEST(GraphBuilder, EmptyAndTiny) {
+  const Graph empty;
+  EXPECT_EQ(empty.node_count(), 0u);
+  EXPECT_EQ(empty.edge_count(), 0u);
+  EXPECT_EQ(empty.max_degree(), 0u);
+  EXPECT_EQ(empty.min_degree(), 0u);
+  EXPECT_EQ(GraphBuilder(0).build().node_count(), 0u);
+
+  GraphBuilder b(2);
+  b.add_edge(0, 1);
+  const Graph g = b.build();
+  EXPECT_EQ(g.node_count(), 2u);
+  EXPECT_EQ(g.edge_count(), 1u);
+  EXPECT_EQ(g.min_degree(), 1u);
+  EXPECT_EQ(g.max_degree(), 1u);
+  EXPECT_EQ(g.summary(), "n=2 |E|=1 Delta=1");
+  EXPECT_EQ(row(g, 0), (std::vector<NodeId>{1}));
+  EXPECT_EQ(row(g, 1), (std::vector<NodeId>{0}));
+  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_FALSE(g.has_edge(0, 2));  // out of range answers false
+}
+
+// has_edge scans the shorter row: brute-force cross-check on graphs with
+// sorted rows and with unsorted (insertion-order) rows.
+TEST(GraphHasEdge, MatchesEdgeList) {
+  const std::vector<Graph> graphs = {
+      make_grid(5, 7), make_barbell(17), make_complete(12), make_binary_tree(20),
+      make_ring_with_chords(30, 12, 3), make_random_regular(16, 4, 9),
+      make_erdos_renyi(18, 0.4, 5),
+  };
+  for (const auto& g : graphs) {
+    std::vector<std::vector<bool>> adj(g.node_count(),
+                                       std::vector<bool>(g.node_count(), false));
+    for (const auto& [u, v] : g.edges()) adj[u][v] = adj[v][u] = true;
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        ASSERT_EQ(g.has_edge(u, v), static_cast<bool>(adj[u][v]))
+            << g.summary() << ": " << u << "-" << v;
+      }
+    }
+    const auto n = static_cast<NodeId>(g.node_count());
+    EXPECT_FALSE(g.has_edge(0, n));
+    EXPECT_FALSE(g.has_edge(n, 0));
+  }
 }
 
 TEST(GeneratorTest, PathProperties) {

@@ -64,9 +64,9 @@ TEST(MinCutTest, KnownFamilies) {
 }
 
 TEST(MinCutTest, TwoBridgeBarbell) {
-  auto g = make_barbell(16);
-  g.add_edge(0, 15);  // second bridge
-  EXPECT_EQ(stoer_wagner_min_cut(g), 2u);
+  GraphBuilder b(make_barbell(16));
+  b.add_edge(0, 15);  // second bridge
+  EXPECT_EQ(stoer_wagner_min_cut(b.build()), 2u);
 }
 
 TEST(CommunityTest, BarbellSplitsInTwo) {

@@ -57,6 +57,11 @@ TEST(EdgeListTest, RejectsMalformedInput) {
   EXPECT_THROW(from_edge_list("3\n0 7\n"), std::invalid_argument);   // range
   EXPECT_THROW(from_edge_list("3\n1 1\n"), std::invalid_argument);   // loop
   EXPECT_THROW(from_edge_list("3\n0 1\n1 0\n"), std::invalid_argument);  // dup
+  // Bad tokens must not silently truncate the list.
+  EXPECT_THROW(from_edge_list("3\n0 1\n1 x\n"), std::invalid_argument);
+  EXPECT_THROW(from_edge_list("3\n0 1\n2\n"), std::invalid_argument);  // dangling
+  EXPECT_THROW(from_edge_list("3 junk\n"), std::invalid_argument);
+  EXPECT_THROW(from_edge_list("4294967296\n"), std::invalid_argument);  // > NodeId max
 }
 
 TEST(EdgeListTest, EmptyGraphAndIsolatedNodes) {
@@ -64,6 +69,9 @@ TEST(EdgeListTest, EmptyGraphAndIsolatedNodes) {
   EXPECT_EQ(g.node_count(), 5u);
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_EQ(g.degree(4), 0u);
+  // Trailing whitespace and a missing final newline are both well formed.
+  EXPECT_EQ(from_edge_list("5\n0 1\n  \n\t").edge_count(), 1u);
+  EXPECT_EQ(from_edge_list("5\n0 1\n1 2").edge_count(), 2u);
 }
 
 }  // namespace

@@ -1,16 +1,22 @@
 // Units for the dynamic-network subsystem: the Channel loss model and the
-// three TopologyView families (static, churn, scripted), including the
+// TopologyView families (static, implicit, churn, scripted), including the
 // scenario factories and their determinism contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "core/decoders.hpp"
+#include "core/dissemination.hpp"
+#include "core/experiment.hpp"
+#include "core/uniform_ag.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "sim/channel.hpp"
+#include "sim/rng.hpp"
 #include "sim/topology.hpp"
 
 namespace {
@@ -281,6 +287,71 @@ TEST(ScriptedTopologyTest, PeriodicPartitionRemovesCutEdges) {
   EXPECT_EQ(t->degree(4), 4u);  // clique-internal edges survive
   t->advance(11);  // healed again
   EXPECT_TRUE(has_bridge());
+}
+
+// --- Implicit views vs explicit generators ----------------------------------
+//
+// CompleteTopology / BarbellTopology must agree with StaticTopology over the
+// corresponding generator in node counts, degrees, neighbor lists and the
+// sample() draw mapping, which is what makes implicit large-n runs
+// stream-identical to explicit small-n runs.
+
+void expect_view_equivalent(const sim::TopologyView& imp, const graph::Graph& g) {
+  const sim::StaticTopology exp(g);
+  ASSERT_EQ(imp.node_count(), exp.node_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    ASSERT_EQ(imp.degree(v), exp.degree(v)) << "degree at " << v;
+    const auto en = exp.neighbors(v);
+    const auto in = imp.neighbors(v);
+    ASSERT_EQ(in.size(), en.size()) << "node " << v;
+    for (std::size_t i = 0; i < en.size(); ++i) {
+      ASSERT_EQ(in[i], en[i]) << "neighbor order diverged: node " << v << " idx " << i;
+    }
+  }
+  // sample() must map identical draws to identical partners (the implicit
+  // index->neighbor map vs the explicit list indexing).
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    sim::Rng ra(1234 + v), rb(1234 + v);
+    for (int t = 0; t < 64; ++t) {
+      ASSERT_EQ(imp.sample(v, ra), exp.sample(v, rb)) << "node " << v;
+    }
+  }
+}
+
+TEST(ImplicitTopology, CompleteMatchesExplicit) {
+  for (const std::size_t n : {4u, 5u, 16u, 33u}) {
+    expect_view_equivalent(sim::CompleteTopology(n), graph::make_complete(n));
+  }
+}
+
+TEST(ImplicitTopology, BarbellMatchesExplicit) {
+  for (const std::size_t n : {4u, 5u, 8u, 9u, 16u, 17u, 32u}) {
+    expect_view_equivalent(sim::BarbellTopology(n), graph::make_barbell(n));
+  }
+}
+
+// End-to-end: protocol runs over an implicit view equal explicit-graph runs.
+
+std::vector<double> uag_rounds(std::unique_ptr<sim::TopologyView> (*topo)(),
+                               std::size_t n, std::size_t k, std::uint64_t seed) {
+  return core::stopping_rounds(
+      [&](sim::Rng& rng) {
+        const auto pl = core::uniform_distinct(k, n, rng);
+        core::AgConfig cfg;
+        return core::UniformAG<core::Gf2Decoder>(topo(), pl, cfg);
+      },
+      4, seed, 1000000);
+}
+
+TEST(ImplicitTopology, UniformAgRunsMatchExplicitGraph) {
+  static const auto g = graph::make_complete(20);
+  auto explicit_topo = +[]() -> std::unique_ptr<sim::TopologyView> {
+    return std::make_unique<sim::StaticTopology>(g);
+  };
+  auto implicit_topo = +[]() -> std::unique_ptr<sim::TopologyView> {
+    return std::make_unique<sim::CompleteTopology>(20);
+  };
+  EXPECT_EQ(uag_rounds(explicit_topo, 20, 8, 555), uag_rounds(implicit_topo, 20, 8, 555));
 }
 
 }  // namespace
