@@ -4,6 +4,12 @@
 // bit-packed GF(2).  Both run on whatever GF kernel backend the dispatcher
 // selected (force with AG_GF_BACKEND to compare).
 //
+// The BM_Stream* cases use the stream-gf256 benchmark shape (GF(256),
+// k = 16, 1 KiB payloads): one recoded packet, and an insert that is helpful
+// (the mean over a fill from rank 0 to 16), dependent (at rank 8) or into a
+// full-rank decoder.  The combination benches reuse one output packet, as
+// the engines do.
+//
 // AG_BENCH_JSON=<path> writes google-benchmark's JSON report to <path>, same
 // knob as the table harnesses.
 #include <benchmark/benchmark.h>
@@ -68,8 +74,10 @@ void BM_DenseRandomCombination(benchmark::State& state) {
   ag::sim::Rng rng(13);
   DenseDecoder<GF256> d(k, 16);
   for (std::size_t i = 0; i < k; ++i) d.insert(d.unit_packet(i));
+  DenseDecoder<GF256>::packet_type out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(d.random_combination(rng));
+    benchmark::DoNotOptimize(d.random_combination_into(rng, out));
+    benchmark::DoNotOptimize(out.payload.data());
   }
 }
 BENCHMARK(BM_DenseRandomCombination)->Arg(32)->Arg(128);
@@ -84,6 +92,84 @@ void BM_BitRandomCombination(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitRandomCombination)->Arg(64)->Arg(512);
+
+constexpr std::size_t kStreamK = 16;
+constexpr std::size_t kStreamPayload = 1024;
+
+// A decoder holding the first `rank` unit equations, each with a random
+// 1 KiB payload.
+DenseDecoder<GF256> stream_decoder(std::size_t rank, ag::sim::Rng& rng) {
+  DenseDecoder<GF256> d(kStreamK, kStreamPayload);
+  std::vector<std::uint8_t> payload(kStreamPayload);
+  for (std::size_t i = 0; i < rank; ++i) {
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform(256));
+    d.insert(d.unit_packet(i, payload));
+  }
+  return d;
+}
+
+// `count` random combinations of `src`'s rows.
+std::vector<DenseDecoder<GF256>::packet_type> stream_packets(const DenseDecoder<GF256>& src,
+                                                             std::size_t count,
+                                                             ag::sim::Rng& rng) {
+  std::vector<DenseDecoder<GF256>::packet_type> packets(count);
+  for (auto& p : packets) src.random_combination_into(rng, p);
+  return packets;
+}
+
+void BM_StreamCombine(benchmark::State& state) {
+  ag::sim::Rng rng(15);
+  const DenseDecoder<GF256> d = stream_decoder(kStreamK, rng);
+  DenseDecoder<GF256>::packet_type out;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.random_combination_into(rng, out));
+    benchmark::DoNotOptimize(out.payload.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kStreamK * kStreamPayload));
+}
+BENCHMARK(BM_StreamCombine);
+
+// Mean cost of a helpful insert: each iteration fills an empty decoder to
+// full rank with 16 combinations of a full-rank source (independent with
+// probability > 1 - 2^-120).
+void BM_StreamInsertHelpful(benchmark::State& state) {
+  ag::sim::Rng rng(16);
+  const auto packets = stream_packets(stream_decoder(kStreamK, rng), kStreamK, rng);
+  DenseDecoder<GF256> d(kStreamK, kStreamPayload);
+  for (auto _ : state) {
+    d.clear();
+    for (const auto& p : packets) d.insert(p);
+    if (!d.full_rank()) state.SkipWithError("stream packets were not independent");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kStreamK));
+}
+BENCHMARK(BM_StreamInsertHelpful);
+
+// A packet from the receiver's own row space (rank 8): rejected, state
+// unchanged, so every iteration is the same insert.
+void BM_StreamInsertDependentRank8(benchmark::State& state) {
+  ag::sim::Rng rng(17);
+  DenseDecoder<GF256> d = stream_decoder(kStreamK / 2, rng);
+  const auto packets = stream_packets(d, 64, rng);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.insert(packets[i++ & 63]));
+  }
+}
+BENCHMARK(BM_StreamInsertDependentRank8);
+
+void BM_StreamInsertFullRank(benchmark::State& state) {
+  ag::sim::Rng rng(18);
+  DenseDecoder<GF256> d = stream_decoder(kStreamK, rng);
+  const auto packets = stream_packets(d, 64, rng);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.insert(packets[i++ & 63]));
+  }
+}
+BENCHMARK(BM_StreamInsertFullRank);
 
 }  // namespace
 

@@ -4,9 +4,9 @@
 // multiply, axpy over coefficient rows (via the runtime-dispatched backend),
 // and the word-parallel GF(2) XOR the bit-packed decoder uses (dispatched:
 // inline for short rows, the backend for long ones).  Every
-// available GF kernel backend (scalar / ssse3 / avx2) gets its own axpy,
-// scale and xor_words series, registered at startup, so one run prints the
-// scalar-vs-SIMD throughput table directly.
+// available GF kernel backend (scalar / ssse3 / avx2 / gfni) gets its own
+// axpy, scale and xor_words series, registered at startup, so one run prints
+// the scalar-vs-SIMD throughput table directly.
 //
 // AG_BENCH_JSON=<path> writes google-benchmark's JSON report (including
 // bytes_per_second for the throughput benches) to <path>, same knob as the

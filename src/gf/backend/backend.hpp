@@ -5,16 +5,18 @@
 // kernels below is the ceiling on how large an (n, k) sweep the simulator can
 // run.  This subsystem provides one portable scalar reference implementation
 // plus SSSE3 and AVX2 GF(256) kernels (classic PSHUFB split-nibble product
-// tables), selected ONCE at startup from CPUID feature detection and exposed
-// through a table of function pointers.  `gf::axpy` / `gf::scale` /
+// tables) and a GFNI + AVX-512 kernel (one GF2P8AFFINEQB bit-matrix multiply
+// per 64 bytes), selected ONCE at startup from CPUID feature detection and
+// exposed through a table of function pointers.  `gf::axpy` / `gf::scale` /
 // `gf::xor_words` in bulk_ops.hpp are thin dispatchers over this table, so
 // DenseDecoder, BitDecoder and all protocols pick up the fastest kernel with
 // zero call-site churn.
 //
 // Selection:
 //   * default: the best backend both compiled in AND supported by the CPU
-//     (AVX2 > SSSE3 > scalar);
-//   * override: the AG_GF_BACKEND environment variable (scalar|ssse3|avx2).
+//     (GFNI > AVX2 > SSSE3 > scalar);
+//   * override: the AG_GF_BACKEND environment variable
+//     (scalar|ssse3|avx2|gfni).
 //     Requesting a backend that is unknown, compiled out, or unsupported by
 //     the running CPU falls back gracefully to the detected best -- it never
 //     aborts, so a pinned CI recipe still runs on older hardware.
@@ -27,8 +29,9 @@
 // forced AG_GF_BACKEND value in CI.
 //
 // Alignment: all kernels use unaligned loads/stores, so ANY buffer is
-// correct; 32-byte aligned data additionally avoids cache-line splits, which
-// is why the decoder row arenas are 32-byte aligned and row-stride padded.
+// correct; 32-byte aligned data additionally avoids cache-line splits for
+// the AVX2 kernels, which is why the decoder row arenas are 32-byte aligned
+// and row-stride padded.
 #pragma once
 
 #include <cstddef>
@@ -55,9 +58,9 @@ struct KernelTable {
   const char* name;
 };
 
-enum class Backend : int { scalar = 0, ssse3 = 1, avx2 = 2 };
+enum class Backend : int { scalar = 0, ssse3 = 1, avx2 = 2, gfni = 3 };
 
-// Canonical lower-case name ("scalar", "ssse3", "avx2").
+// Canonical lower-case name ("scalar", "ssse3", "avx2", "gfni").
 const char* to_string(Backend b) noexcept;
 
 // Parses an AG_GF_BACKEND value; returns false for unknown names.
@@ -67,7 +70,7 @@ bool parse_backend(std::string_view s, Backend& out) noexcept;
 // the running CPU lacks the instruction set.  Backend::scalar never fails.
 const KernelTable* table_for(Backend b) noexcept;
 
-// Best backend available on this build + CPU (AVX2 > SSSE3 > scalar).
+// Best backend available on this build + CPU (GFNI > AVX2 > SSSE3 > scalar).
 Backend detect_best() noexcept;
 
 // Every backend usable right now, scalar first.
@@ -90,8 +93,11 @@ namespace detail {
 const KernelTable& scalar_kernels() noexcept;
 const KernelTable* ssse3_kernels() noexcept;
 const KernelTable* avx2_kernels() noexcept;
+const KernelTable* gfni_kernels() noexcept;
 bool cpu_has_ssse3() noexcept;
 bool cpu_has_avx2() noexcept;
+// GFNI with AVX-512BW: the kernels use 512-bit GF2P8AFFINEQB and byte masks.
+bool cpu_has_gfni() noexcept;
 }  // namespace detail
 
 }  // namespace ag::gf::backend

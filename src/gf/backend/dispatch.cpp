@@ -35,11 +35,20 @@ bool detail::cpu_has_avx2() noexcept {
 #endif
 }
 
+bool detail::cpu_has_gfni() noexcept {
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  return __builtin_cpu_supports("gfni") != 0 && __builtin_cpu_supports("avx512bw") != 0;
+#else
+  return false;
+#endif
+}
+
 const char* to_string(Backend b) noexcept {
   switch (b) {
     case Backend::scalar: return "scalar";
     case Backend::ssse3: return "ssse3";
     case Backend::avx2: return "avx2";
+    case Backend::gfni: return "gfni";
   }
   return "scalar";
 }
@@ -57,6 +66,10 @@ bool parse_backend(std::string_view s, Backend& out) noexcept {
     out = Backend::avx2;
     return true;
   }
+  if (s == "gfni") {
+    out = Backend::gfni;
+    return true;
+  }
   return false;
 }
 
@@ -68,11 +81,14 @@ const KernelTable* table_for(Backend b) noexcept {
       return detail::cpu_has_ssse3() ? detail::ssse3_kernels() : nullptr;
     case Backend::avx2:
       return detail::cpu_has_avx2() ? detail::avx2_kernels() : nullptr;
+    case Backend::gfni:
+      return detail::cpu_has_gfni() ? detail::gfni_kernels() : nullptr;
   }
   return nullptr;
 }
 
 Backend detect_best() noexcept {
+  if (table_for(Backend::gfni) != nullptr) return Backend::gfni;
   if (table_for(Backend::avx2) != nullptr) return Backend::avx2;
   if (table_for(Backend::ssse3) != nullptr) return Backend::ssse3;
   return Backend::scalar;
@@ -82,6 +98,7 @@ std::vector<Backend> available_backends() {
   std::vector<Backend> out{Backend::scalar};
   if (table_for(Backend::ssse3) != nullptr) out.push_back(Backend::ssse3);
   if (table_for(Backend::avx2) != nullptr) out.push_back(Backend::avx2);
+  if (table_for(Backend::gfni) != nullptr) out.push_back(Backend::gfni);
   return out;
 }
 

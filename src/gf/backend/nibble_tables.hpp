@@ -1,4 +1,5 @@
-// Split-nibble GF(256) product tables shared by the SIMD backends.
+// GF(256) product tables shared by the SIMD backends: split-nibble tables
+// for the PSHUFB kernels and affine matrices for the GFNI kernels.
 //
 // PSHUFB can look 16 bytes up in a 16-byte table in one instruction, so the
 // classic vector GF(256) multiply splits each source byte s into nibbles and
@@ -26,6 +27,17 @@ struct alignas(32) NibbleTables {
 // Built once on first use from the canonical GF(256) log/exp tables
 // (8 KiB total; each 16-byte row is 16-byte aligned for _mm_load_si128).
 const NibbleTables& nibble_tables() noexcept;
+
+// GF2P8AFFINEQB form of the same products: affine[c] is the 8x8 bit matrix
+// of "multiply by c" in the 0x11D field, as the instruction reads it.  Byte
+// 7 - i of the matrix is the row for output bit i, and bit j of that row is
+// bit i of c * x^j, so output bit i = parity(row_i & s) = bit i of c * s.
+// Built once on first use from the same canonical tables (2 KiB).
+struct AffineMatrices {
+  std::uint64_t affine[256];
+};
+
+const AffineMatrices& affine_matrices() noexcept;
 
 // Scalar remainder loops used by every vector kernel after the full-vector
 // body: exact GF(256) products via the same nibble tables.

@@ -5,7 +5,7 @@
 /// combination is a sequence of axpy calls (dst += c * src), and Gaussian
 /// elimination is axpy plus scale.  The GF(256) byte kernels and the GF(2)
 /// word-XOR kernel dispatch through the runtime-selected SIMD backend
-/// (gf/backend/backend.hpp: scalar reference, SSSE3, AVX2; pick with
+/// (gf/backend/backend.hpp: scalar reference, SSSE3, AVX2, GFNI; pick with
 /// AG_GF_BACKEND or let CPUID decide), so every decoder and protocol gets
 /// the fastest available implementation with no call-site changes.  Other
 /// fields (GF(16), GF(2^16)) use the generic per-element loops below.
@@ -62,7 +62,8 @@ inline void xor_bytes(std::span<std::uint8_t> dst,
 }
 
 /// GF(256) axpy: dst[i] ^= c * src[i], routed through the active backend
-/// (PSHUFB split-nibble kernels under SSSE3/AVX2, log/exp loop under scalar).
+/// (PSHUFB split-nibble kernels under SSSE3/AVX2, GF2P8AFFINEQB under GFNI,
+/// log/exp loop under scalar).
 inline void axpy_gf256(std::span<std::uint8_t> dst,
                        std::span<const std::uint8_t> src,
                        std::uint8_t c) noexcept {
@@ -118,7 +119,8 @@ void scale(std::span<typename F::value_type> dst, typename F::value_type c) noex
 /// Word-parallel XOR for bit-packed GF(2) rows: dst ^= src.  Spans of up to
 /// kInlineXorWords words (every coefficient row at k <= 256) take an inline
 /// scalar loop; longer ones go through the active backend (128/256-bit
-/// vector XOR under SSSE3/AVX2), where the indirect call pays for itself.
+/// vector XOR under SSSE3/AVX2, 512-bit under GFNI), where the indirect call
+/// pays for itself.
 inline constexpr std::size_t kInlineXorWords = 4;
 
 inline void xor_words(std::span<std::uint64_t> dst,

@@ -12,8 +12,10 @@
 /// worth of it (layout and ownership rules: linalg/rref_view.hpp).  Each row
 /// is a contiguous [coeff words | payload words] stripe.  Stored rows are
 /// zero before their pivot word (first set bit = pivot), so eliminations XOR
-/// only the [pivot_word, stride) tail, coefficient words and payload fused
-/// in one xor_words call.
+/// only the tail from the pivot word on.  insert() XORs the coefficient
+/// words first and the payload words only for a helpful packet; back
+/// elimination XORs a stored row's coefficient tail and payload in one
+/// xor_words call over the contiguous stripe.
 #pragma once
 
 #include <algorithm>
@@ -52,8 +54,8 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
                                                 BitPacket, Mutable> {
   using Base = detail::RrefViewBase<BitRrefView, std::uint64_t, BitPacket, Mutable>;
   friend Base;
-  using Base::kNoColumn, Base::width_, Base::pivot_row_, Base::rank_, Base::scratch_,
-      Base::row_ptr, Base::tail, Base::coeff_tail;
+  using Base::kNoColumn, Base::k_, Base::width_, Base::pivot_row_, Base::rank_,
+      Base::scratch_, Base::row_ptr, Base::tail, Base::coeff_tail;
 
  public:
   using value_type = std::uint64_t;
@@ -79,35 +81,23 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
 
   /// Inserts a packet; returns true iff it increased the rank (was helpful).
   bool insert(const packet_type& pkt) requires Mutable {
-    std::uint64_t* row = this->stage(pkt);
+    if (this->full_rank()) return false;
+    const std::size_t pivot = reduce<true>(pkt.coeffs);
+    if (pivot == kNoColumn) return false;
+    std::uint64_t* row = scratch_;
 
-    // Full forward elimination: clear every set bit that collides with a
-    // stored pivot (not just up to the first pivot-free column -- the stored
-    // rows must stay fully reduced for decoded_message() to read off the
-    // RREF).  The lowest set bit with no pivot row becomes the new pivot.
-    // Stored rows are themselves fully reduced and zero before their pivot
-    // word, so eliminating at column c XORs only the word-tail from c's word
-    // onward; pivot-free bits already seen (skip mask) are never disturbed.
-    std::size_t pivot = kNoColumn;
-    for (std::size_t w = 0; w < width_; ++w) {
-      std::uint64_t skip = 0;  // pivot-free bits of this word, kept as-is
-      while (true) {
-        const std::uint64_t active = row[w] & ~skip;
-        if (active == 0) break;
-        const auto bit = static_cast<std::size_t>(std::countr_zero(active));
-        const std::size_t col = w * 64 + bit;
-        const std::uint32_t ri = pivot_row_[col];
-        if (ri == kNoPivot) {
-          if (pivot == kNoColumn) pivot = col;
-          skip |= std::uint64_t{1} << bit;
-        } else {
-          // Source row's first set bit is col (in word w): XOR the fused
-          // [w, stride) tail -- coefficient words and payload together.
-          gf::xor_words(tail(row, w), tail(row_ptr(ri), w));
+    // The payload gets the XORs the coefficient pass made: one per set bit
+    // of the packet's own coefficients at a stored pivot column (see
+    // linalg/rref_view.hpp).
+    const std::span<std::uint64_t> payload = this->stage_payload(pkt);
+    if (!payload.empty()) {
+      for (std::size_t w = 0; w < width_; ++w) {
+        for (std::uint64_t bits = pkt.coeffs[w]; bits != 0; bits &= bits - 1) {
+          const std::uint32_t ri = pivot_row_[w * 64 + std::countr_zero(bits)];
+          if (ri != kNoPivot) gf::xor_words(payload, this->payload_of(row_ptr(ri)));
         }
       }
     }
-    if (pivot == kNoColumn) return false;
 
     // Back-eliminate this pivot from existing rows (keeps RREF).  A row with
     // this pivot bit set has its own pivot strictly below `pivot`, so its
@@ -124,19 +114,7 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
   /// Whether `coeffs` lies in the stored row space.  Clobbers the scratch
   /// stripe; allocates nothing.
   bool contains(std::span<const std::uint64_t> coeffs) const {
-    assert(coeffs.size() == width_);
-    std::uint64_t* tmp = scratch_;
-    std::copy(coeffs.begin(), coeffs.end(), tmp);
-    for (std::size_t w = 0; w < width_; ++w) {
-      while (tmp[w] != 0) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(tmp[w]));
-        const std::uint32_t ri = pivot_row_[w * 64 + bit];
-        if (ri == kNoPivot) return false;
-        // Stored row ri's first set bit is this one: XOR the [w, words) tail.
-        gf::xor_words(coeff_tail(tmp, w), coeff_tail(row_ptr(ri), w));
-      }
-    }
-    return true;
+    return reduce<false>(coeffs) == kNoColumn;
   }
 
   /// Uniform random combination (each stored row joins with probability
@@ -166,6 +144,43 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
   }
 
  private:
+  /// The coefficient pass: stages `coeffs` in the scratch stripe and XORs
+  /// into it, word by word, the coefficient tail of the stored row of every
+  /// set bit of `coeffs` that has one.  Returns the lowest set pivot-free
+  /// column -- the new pivot -- or kNoColumn if `coeffs` lies in the row
+  /// space.  After word w's XORs that word holds only pivot-free bits, and
+  /// no later XOR reaches it (stored rows are zero before their pivot word).
+  /// Full = false (contains()) stops at the first such word; Full = true
+  /// (insert()) finishes the pass, so the row ends zero at every pivot
+  /// column as a stored row must be.
+  template <bool Full>
+  std::size_t reduce(std::span<const std::uint64_t> coeffs) const {
+    const std::span<std::uint64_t> row = this->stage_coeffs(coeffs);
+    std::size_t pivot = kNoColumn;
+    for (std::size_t w = 0; w < width_; ++w) {
+      for (std::uint64_t bits = coeffs[w]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t ri = pivot_row_[w * 64 + std::countr_zero(bits)];
+        if (ri != kNoPivot) gf::xor_words(row.subspan(w), coeff_tail(row_ptr(ri), w));
+      }
+      if (row[w] != 0 && pivot == kNoColumn) {
+        const std::size_t col = w * 64 + static_cast<std::size_t>(std::countr_zero(row[w]));
+        if constexpr (!Full) return col;
+        pivot = col;
+      }
+    }
+    assert(reduced_at_pivots(row));
+    return pivot;
+  }
+
+  // Whether `row` is zero at every stored pivot column: true after a full
+  // pass exactly when the stored rows are fully reduced.
+  bool reduced_at_pivots(std::span<const std::uint64_t> row) const noexcept {
+    for (std::size_t c = 0; c < k_; ++c) {
+      if (pivot_row_[c] != kNoPivot && ((row[c / 64] >> (c % 64)) & 1) != 0) return false;
+    }
+    return true;
+  }
+
   static void set_unit(std::vector<std::uint64_t>& coeffs, std::size_t i) {
     coeffs[i / 64] = std::uint64_t{1} << (i % 64);
   }

@@ -11,14 +11,15 @@
 /// DenseRrefView<F, Mutable> is that state as a view, one GF(q) symbol per
 /// coefficient; DenseDecoder<F> owns one node's worth of it (the shared
 /// layout and ownership rules are in linalg/rref_view.hpp).  Rows are
-/// contiguous [coeffs (k) | payload (r)] stripes, which keeps the
-/// elimination inner loops on a single cache stream and lets the coefficient
-/// tail and the payload be updated by ONE fused axpy per elimination.
+/// contiguous [coeffs (k) | payload (r)] stripes.  insert() reduces the
+/// coefficients first and touches the payload only for a helpful packet; back
+/// elimination then updates a stored row's coefficient tail and payload with
+/// one axpy over the contiguous stripe.
 ///
 /// Elimination exploits the RREF prefix invariant (every stored row is zero
 /// strictly before its pivot column, proved in insert() below): eliminating
 /// at column p only ever touches columns >= p, so all axpys run on the
-/// [p, stride) tail instead of the whole row.
+/// [p, width) or [p, stride) tail instead of the whole row.
 #pragma once
 
 #include <algorithm>
@@ -95,26 +96,24 @@ class DenseRrefView : public detail::RrefViewBase<DenseRrefView<F, Mutable>,
   /// Inserts a packet; returns true iff it increased the rank (was helpful).
   /// Draws no randomness.
   bool insert(const packet_type& pkt) requires Mutable {
-    value_type* row = this->stage(pkt);
-
-    // Fused forward elimination + pivot search, left to right.  Eliminating
-    // at column p uses the stored row whose pivot is p; that row is zero
-    // before p (prefix invariant), so the update never reaches back before
-    // p and a single pass suffices.  The first nonzero column without a
-    // stored pivot is final the moment we see it.
-    std::size_t pivot = kNoColumn;
-    for (std::size_t p = 0; p < k_; ++p) {
-      const value_type c = row[p];
-      if (c == F::zero) continue;
-      const std::uint32_t ri = pivot_row_[p];
-      if (ri == kNoPivot) {
-        if (pivot == kNoColumn) pivot = p;
-        continue;
-      }
-      // row[p..] -= c * stored[p..]: coefficient tail and payload in one axpy.
-      gf::axpy<F>(tail(row, p), tail(row_ptr(ri), p), c);
-    }
+    if (this->full_rank()) return false;
+    const std::size_t pivot = reduce<true>(pkt.coeffs);
     if (pivot == kNoColumn) return false;  // linearly dependent: not helpful
+    value_type* row = scratch_;
+
+    // The payload gets the eliminations the coefficient pass made, with the
+    // same multipliers: the packet's own coefficients at the pivot columns
+    // (see linalg/rref_view.hpp).
+    const std::span<value_type> payload = this->stage_payload(pkt);
+    if (!payload.empty()) {
+      for (std::size_t p = 0; p < k_; ++p) {
+        const value_type c = pkt.coeffs[p];
+        const std::uint32_t ri = pivot_row_[p];
+        if (c != F::zero && ri != kNoPivot) {
+          gf::axpy<F>(payload, this->payload_of(row_ptr(ri)), c);
+        }
+      }
+    }
 
     // Normalize so the pivot element is 1.  Everything before the pivot is
     // already zero, so scale the tail only.
@@ -135,19 +134,7 @@ class DenseRrefView : public detail::RrefViewBase<DenseRrefView<F, Mutable>,
   /// Whether `coeffs` lies in the stored row space.  Clobbers the scratch
   /// stripe; allocates nothing.
   bool contains(std::span<const value_type> coeffs) const {
-    assert(coeffs.size() == k_);
-    value_type* tmp = scratch_;
-    std::copy(coeffs.begin(), coeffs.end(), tmp);
-    for (std::size_t p = 0; p < k_; ++p) {
-      const value_type c = tmp[p];
-      if (c == F::zero) continue;
-      const std::uint32_t ri = pivot_row_[p];
-      if (ri == kNoPivot) return false;
-      // Stored row ri is zero before its pivot p (normalized to 1), so this
-      // zeroes tmp[p] and touches only the tail.
-      gf::axpy<F>(coeff_tail(tmp, p), coeff_tail(row_ptr(ri), p), c);
-    }
-    return true;
+    return reduce<false>(coeffs) == kNoColumn;
   }
 
   /// Emits a uniformly random linear combination of the stored equations
@@ -179,6 +166,42 @@ class DenseRrefView : public detail::RrefViewBase<DenseRrefView<F, Mutable>,
   }
 
  private:
+  /// The coefficient pass: stages `coeffs` in the scratch stripe and
+  /// eliminates it, left to right, against every stored pivot row, using the
+  /// coefficient's own value at the pivot as the multiplier.  Returns the
+  /// first nonzero pivot-free column -- the new pivot -- or kNoColumn if
+  /// `coeffs` lies in the row space.  A pivot-free column is final the moment
+  /// the pass reaches it: eliminating at p touches only columns >= p.
+  /// Full = false (contains()) stops there; Full = true (insert()) finishes
+  /// the pass, so the row ends zero at every pivot column as a stored row
+  /// must be.
+  template <bool Full>
+  std::size_t reduce(std::span<const value_type> coeffs) const {
+    const std::span<value_type> row = this->stage_coeffs(coeffs);
+    std::size_t pivot = kNoColumn;
+    for (std::size_t p = 0; p < k_; ++p) {
+      const std::uint32_t ri = pivot_row_[p];
+      if (ri != kNoPivot) {
+        const value_type c = coeffs[p];
+        if (c != F::zero) gf::axpy<F>(row.subspan(p), coeff_tail(row_ptr(ri), p), c);
+      } else if (row[p] != F::zero && pivot == kNoColumn) {
+        if constexpr (!Full) return p;
+        pivot = p;
+      }
+    }
+    assert(reduced_at_pivots(row));
+    return pivot;
+  }
+
+  // Whether `row` is zero at every stored pivot column: true after a full
+  // pass exactly when the stored rows are fully reduced.
+  bool reduced_at_pivots(std::span<const value_type> row) const noexcept {
+    for (std::size_t p = 0; p < k_; ++p) {
+      if (pivot_row_[p] != kNoPivot && row[p] != F::zero) return false;
+    }
+    return true;
+  }
+
   static void set_unit(std::vector<value_type>& coeffs, std::size_t i) {
     coeffs[i] = F::one;
   }

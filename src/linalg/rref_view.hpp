@@ -17,6 +17,15 @@
 ///     contains().  It is per-call workspace, never logical state, so a
 ///     read-only view still carries a writable scratch pointer.
 ///
+/// Stored rows are fully reduced: each is 1 at its pivot and 0 at every
+/// other pivot column.  So when a packet is reduced against them, the
+/// multiplier of the row with pivot p is the packet's own coefficient at p,
+/// whatever the other rows did to the stripe first.  insert() uses this to
+/// reduce the coefficients alone, learn whether the packet is helpful, and
+/// only then stage the payload and apply the same multipliers to it: the
+/// payload of a dependent packet is never copied or read, and a full-rank
+/// view rejects a packet without reading a row.
+///
 /// Payload width and row stride are run-time values.  Payload width 0 is the
 /// rank tracker: payloads handed in are accepted and dropped, combinations
 /// are emitted with an empty payload, and decoded_message() is empty.  Every
@@ -32,9 +41,10 @@
 /// Who owns the state is the only other difference between a decoder and a
 /// pooled rank store:
 ///   * RrefOwner (DenseDecoder<F>, BitDecoder and the owning rank trackers)
-///     keeps one node's state in a 32-byte-aligned arena with the row stride
-///     padded to a 32-byte multiple (pad symbols are never read), so every
-///     row starts on a 32-byte boundary for the SIMD kernels (gf/backend/).
+///     keeps one node's rows and scratch stripe in one 32-byte-aligned
+///     block with the row stride padded to a 32-byte multiple (pad symbols
+///     are never read), so every row starts on a 32-byte boundary for the
+///     SIMD kernels (gf/backend/).
 ///   * core/swarm_storage.hpp's pooled stores keep every node's rows in one
 ///     unpadded arena: padding k = 32 GF(2) rows from 1 word to 4 would
 ///     quadruple a 100k-node swarm.
@@ -61,8 +71,8 @@ namespace detail {
 
 /// \brief What both RREF views share: the state pointers, the row geometry,
 /// the read-only queries and the transmit rules' row loop.  Derived (one
-/// view per representation) supplies coeff_width(k), set_unit(), add_scaled()
-/// and the two eliminating loops, insert() and contains().
+/// view per representation) supplies coeff_width(k), set_unit(), add_scaled(),
+/// insert(), and the coefficient pass that insert() and contains() share.
 template <typename Derived, typename T, typename Packet, bool Mutable>
 class RrefViewBase {
  public:
@@ -162,6 +172,12 @@ class RrefViewBase {
     return {row_ptr(i), width_};
   }
 
+  /// Stored payload row i (for differential tests); empty in a rank tracker.
+  std::span<const T> stored_payload_row(std::size_t i) const {
+    assert(i < *rank_);
+    return payload_of(row_ptr(i));
+  }
+
   /// Returns message i's payload; requires full rank.  A rank tracker
   /// returns an empty span, so RlncSwarm::decodes_correctly degenerates to
   /// the full-rank check.
@@ -178,17 +194,23 @@ class RrefViewBase {
   ptr<T> row_ptr(std::size_t i) const noexcept { return arena_ + i * row_stride_; }
 
   // The [c, stride) tail of a row: coefficients from column (or word) c on
-  // plus the payload, one contiguous span, so one kernel call eliminates
+  // plus the payload, one contiguous span, so one kernel call back-eliminates
   // both.  Stored rows are zero before their pivot, so eliminating at c
   // never needs the columns before it.
   template <typename P>
   std::span<std::remove_pointer_t<P>> tail(P row, std::size_t c) const noexcept {
-    return {row + c, stride() - c};
+    return std::span(row, stride()).subspan(c);
   }
-  // The [c, width) coefficient tail (contains() never looks at payloads).
+  // The [c, width) coefficient tail: the coefficient pass of insert() and
+  // contains().
   template <typename P>
   std::span<std::remove_pointer_t<P>> coeff_tail(P row, std::size_t c) const noexcept {
-    return {row + c, width_ - c};
+    return std::span(row, width_).subspan(c);
+  }
+  // The payload span of a row (empty in a rank tracker).
+  template <typename P>
+  std::span<std::remove_pointer_t<P>> payload_of(P row) const noexcept {
+    return std::span(row, stride()).subspan(width_);
   }
 
   // Payload symbols to keep from an n-symbol payload.  Longer payloads are a
@@ -199,15 +221,24 @@ class RrefViewBase {
     return n < payload_ ? n : payload_;
   }
 
-  /// Stages `pkt` in the scratch stripe as [coeffs | payload | zero fill],
-  /// the fill running through the row padding.
-  T* stage(const Packet& pkt) const {
-    assert(pkt.coeffs.size() == width_);
-    std::copy(pkt.coeffs.begin(), pkt.coeffs.end(), scratch_);
+  /// Copies `coeffs` into the scratch stripe's coefficient span.
+  std::span<T> stage_coeffs(std::span<const T> coeffs) const {
+    assert(coeffs.size() == width_);
+    const std::span<T> row(scratch_, width_);
+    std::copy(coeffs.begin(), coeffs.end(), row.begin());
+    return row;
+  }
+
+  /// Stages `pkt`'s payload behind the staged coefficients as
+  /// [payload | zero fill], the fill running through the row padding, and
+  /// returns the payload span.  Called only once a packet is known to be
+  /// helpful.
+  std::span<T> stage_payload(const Packet& pkt) const {
+    const std::span<T> rest = std::span(scratch_, row_stride_).subspan(width_);
     const std::size_t plen = payload_in(pkt.payload.size());
-    std::copy_n(pkt.payload.begin(), plen, scratch_ + width_);
-    std::fill(scratch_ + width_ + plen, scratch_ + row_stride_, T{});
-    return scratch_;
+    std::copy_n(pkt.payload.begin(), plen, rest.begin());
+    std::ranges::fill(rest.subspan(plen), T{});
+    return rest.first(payload_);
   }
 
   /// Appends the reduced scratch row as the owner of column `pivot`.
@@ -249,10 +280,13 @@ class RrefViewBase {
   std::size_t row_stride_;  // symbols from one row start to the next
 };
 
-/// One owner's state: sized for full rank up front.  The arena is sized
-/// without being written (see util/aligned.hpp), so building many decoders
-/// touches no arena page.  A base of RrefOwner, so it is built before the
-/// view base that points into it.
+/// One owner's state: sized for full rank up front.  The k rows and the
+/// scratch stripe share one aligned block, rows first, so building a decoder
+/// makes one aligned allocation besides the pivot map (aligned allocation is
+/// what construction time goes on).  The block is sized without being
+/// written (see util/aligned.hpp), so building many decoders touches no
+/// arena page.  A base of RrefOwner, so it is built before the view base
+/// that points into it.
 template <typename T>
 struct RrefStorage {
   using aligned_vector = std::vector<T, util::AlignedAllocator<T, 32>>;
@@ -261,8 +295,7 @@ struct RrefStorage {
       : k(k_msgs),
         payload(payload_len),
         row_stride(util::round_up_elems<32, sizeof(T)>(width + payload_len)),
-        rows(k_msgs * row_stride),
-        stripe(row_stride),
+        rows((k_msgs + 1) * row_stride),
         pivots(k_msgs, kNoPivot) {}
 
   // Copies the live rows only; the rest of the arena was never written.
@@ -272,7 +305,6 @@ struct RrefStorage {
         row_stride(o.row_stride),
         count(o.count),
         rows(o.rows.size()),
-        stripe(o.stripe.size()),
         pivots(o.pivots) {
     std::copy_n(o.rows.data(), std::size_t{count} * row_stride, rows.data());
   }
@@ -282,16 +314,17 @@ struct RrefStorage {
 
   template <typename View>
   static View view(RrefStorage& s) noexcept {
-    return View(s.rows.data(), s.pivots.data(), &s.count, s.stripe.data(), s.k,
-                s.payload, s.row_stride);
+    const std::span<T> block(s.rows);
+    return View(block.data(), s.pivots.data(), &s.count,
+                block.subspan(s.k * s.row_stride).data(), s.k, s.payload, s.row_stride);
   }
 
   std::size_t k;
   std::size_t payload;
   std::size_t row_stride;  // stride padded up to a 32-byte multiple
   std::uint32_t count = 0;
-  aligned_vector rows;     // k rows of row_stride symbols, count of them live
-  aligned_vector stripe;   // scratch stripe
+  aligned_vector rows;     // k rows of row_stride symbols (count of them
+                           // live), then the scratch stripe
   std::vector<std::uint32_t> pivots;
 };
 
@@ -341,7 +374,7 @@ class RrefOwner : private RrefStorage<typename View::value_type>,
   /// Exact decoder-state footprint: arena and scratch capacity plus the
   /// pivot map.
   std::size_t memory_bytes() const noexcept {
-    return (Storage::rows.capacity() + Storage::stripe.capacity()) * sizeof(T) +
+    return Storage::rows.capacity() * sizeof(T) +
            Storage::pivots.capacity() * sizeof(std::uint32_t);
   }
 };

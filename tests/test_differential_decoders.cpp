@@ -5,12 +5,20 @@
 // contains(), and decoded payloads must all agree -- including duplicate
 // inserts, linearly dependent combinations, and the all-zero packet.
 //
-// The incremental decoders run fused tail-elimination over a flat arena;
-// the oracle re-eliminates from scratch every time.  Any divergence between
-// the two is a decoder bug by construction.
+// After every insert each stored row is also checked for consistency: its
+// payload must equal the combination of the ground-truth messages its
+// coefficients select, and it must be fully reduced.  A full-rank decoder
+// must reject every packet without changing a stored symbol.
+//
+// The incremental decoders eliminate coefficients first and payloads only
+// for helpful packets, over a flat arena; the oracle re-eliminates from
+// scratch every time.  Any divergence between the two is a decoder bug by
+// construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/decoders.hpp"
@@ -79,6 +87,49 @@ linalg::DensePacket<F> packet_for(
   return p;
 }
 
+// Every stored row is a consistent, fully reduced equation: its payload is
+// sum coeffs_i * x_i, it is 1 at its own pivot (its first nonzero column)
+// and 0 at every other row's pivot.
+template <gf::GaloisField F>
+void check_rows_consistent(const linalg::DenseDecoder<F>& d,
+                            const std::vector<std::vector<typename F::value_type>>& x,
+                            std::size_t step) {
+  std::vector<std::size_t> pivot(d.rank());
+  for (std::size_t i = 0; i < d.rank(); ++i) {
+    const auto c = d.stored_coeff_row(i);
+    pivot[i] = 0;
+    while (pivot[i] < c.size() && c[pivot[i]] == F::zero) ++pivot[i];
+    ASSERT_LT(pivot[i], c.size()) << "zero row " << i << " step " << step;
+    ASSERT_EQ(c[pivot[i]], F::one) << "row " << i << " step " << step;
+  }
+  for (std::size_t i = 0; i < d.rank(); ++i) {
+    const auto c = d.stored_coeff_row(i);
+    for (std::size_t j = 0; j < d.rank(); ++j) {
+      if (j != i) {
+        ASSERT_EQ(c[pivot[j]], F::zero) << "row " << i << " step " << step;
+      }
+    }
+    const std::vector<typename F::value_type> coeffs(c.begin(), c.end());
+    const auto want = packet_for<F>(coeffs, x).payload;
+    const auto got = d.stored_payload_row(i);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "payload of row " << i << " step " << step;
+  }
+}
+
+// A snapshot of every stored symbol, coefficients and payload, row by row.
+template <typename D>
+auto stored_symbols(const D& d) {
+  std::vector<typename D::value_type> out;
+  for (std::size_t i = 0; i < d.rank(); ++i) {
+    const auto c = d.stored_coeff_row(i);
+    const auto p = d.stored_payload_row(i);
+    out.insert(out.end(), c.begin(), c.end());
+    out.insert(out.end(), p.begin(), p.end());
+  }
+  return out;
+}
+
 // One fuzz campaign over field F: `rounds` random inserts mixing fresh
 // random vectors, exact duplicates, and random linear combinations of
 // already-sent packets (guaranteed dependent once their span is covered).
@@ -126,6 +177,7 @@ void run_differential(std::uint64_t seed, std::size_t k, std::size_t payload_len
     ASSERT_EQ(dut.rank(), rank_before + (helpful ? 1 : 0));
     ASSERT_EQ(dut.rank(), oracle.rank()) << "step " << step;
     ASSERT_TRUE(dut.contains(c));  // own row space always contains the insert
+    ASSERT_NO_FATAL_FAILURE(check_rows_consistent<F>(dut, x, step));
   }
 
   // Drive to full rank with unit vectors and check every decoded payload
@@ -138,6 +190,24 @@ void run_differential(std::uint64_t seed, std::size_t k, std::size_t payload_len
   }
   ASSERT_TRUE(dut.full_rank());
   ASSERT_EQ(oracle.rank(), k);
+  ASSERT_NO_FATAL_FAILURE(check_rows_consistent<F>(dut, x, rounds));
+
+  // A full-rank decoder rejects everything and changes no stored symbol,
+  // even for a packet whose payload contradicts the stored equations.
+  const auto before = stored_symbols(dut);
+  for (int trial = 0; trial < 8; ++trial) {
+    linalg::DensePacket<F> junk;
+    junk.coeffs.resize(k);
+    junk.payload.resize(payload_len);
+    for (auto& v : junk.coeffs) {
+      v = static_cast<typename F::value_type>(util::uniform_below(rng, F::order));
+    }
+    for (auto& v : junk.payload) {
+      v = static_cast<typename F::value_type>(util::uniform_below(rng, F::order));
+    }
+    ASSERT_FALSE(dut.insert(junk));
+  }
+  ASSERT_EQ(stored_symbols(dut), before);
   for (std::size_t i = 0; i < k; ++i) {
     const auto got = dut.decoded_message(i);
     ASSERT_EQ(got.size(), payload_len);
@@ -167,6 +237,14 @@ TEST(DifferentialDecoder, DenseGf256AgainstOracle) {
 
 TEST(DifferentialDecoder, DenseGf65536AgainstOracle) {
   run_differential<gf::GF65536>(41, 6, 2, 40);
+}
+
+// 200 = 3 * 64 + 8 payload bytes: every SIMD kernel runs its vector body
+// and its tail on the payload eliminations.
+TEST(DifferentialDecoder, DenseGf256LongPayloadAgainstOracle) {
+  for (const std::uint64_t seed : {35u, 36u}) {
+    run_differential<gf::GF256>(seed, 16, 200, 60);
+  }
 }
 
 // --- BitDecoder vs DenseDecoder<GF2> ----------------------------------------
@@ -218,6 +296,114 @@ TEST(DifferentialDecoder, BitDecoderMatchesDenseGf2OnRandomStreams) {
       sent.push_back(c);
     }
   }
+}
+
+// The BitDecoder campaign against the GF(2) oracle, with payloads wider
+// than gf::kInlineXorWords so the payload XORs go through the backend
+// kernels.  After every insert each stored row must be fully reduced (zero
+// at every other row's pivot) and carry the XOR of the messages its bits
+// select.
+void run_bit_differential(std::uint64_t seed, std::size_t k, std::size_t payload_words,
+                          std::size_t rounds) {
+  sim::Rng rng(seed);
+  std::vector<std::vector<std::uint64_t>> x(k, std::vector<std::uint64_t>(payload_words));
+  for (auto& xi : x) {
+    for (auto& w : xi) w = util::random_bits(rng, 64);
+  }
+  auto packet_for_bits = [&](const std::vector<std::uint8_t>& c) {
+    linalg::BitPacket p;
+    p.coeffs = pack_bits(c);
+    p.payload.assign(payload_words, 0);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (c[i] == 0) continue;
+      for (std::size_t j = 0; j < payload_words; ++j) p.payload[j] ^= x[i][j];
+    }
+    return p;
+  };
+  auto bit_of = [](std::span<const std::uint64_t> words, std::size_t i) {
+    return static_cast<std::uint8_t>((words[i / 64] >> (i % 64)) & 1);
+  };
+  auto check_rows_consistent = [&](const linalg::BitDecoder& d, std::size_t step) {
+    std::vector<std::size_t> pivot(d.rank());
+    for (std::size_t r = 0; r < d.rank(); ++r) {
+      const auto c = d.stored_coeff_row(r);
+      pivot[r] = 0;
+      while (pivot[r] < k && bit_of(c, pivot[r]) == 0) ++pivot[r];
+      ASSERT_LT(pivot[r], k) << "zero row " << r << " step " << step;
+    }
+    for (std::size_t r = 0; r < d.rank(); ++r) {
+      const auto c = d.stored_coeff_row(r);
+      std::vector<std::uint8_t> bits(k);
+      for (std::size_t i = 0; i < k; ++i) bits[i] = bit_of(c, i);
+      for (std::size_t q = 0; q < d.rank(); ++q) {
+        if (q != r) {
+          ASSERT_EQ(bits[pivot[q]], 0) << "row " << r << " step " << step;
+        }
+      }
+      ASSERT_EQ(pack_bits(bits), std::vector<std::uint64_t>(c.begin(), c.end()))
+          << "bits above k in row " << r << " step " << step;
+      const auto want = packet_for_bits(bits).payload;
+      const auto got = d.stored_payload_row(r);
+      ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want)
+          << "payload of row " << r << " step " << step;
+    }
+  };
+
+  linalg::BitDecoder dut(k, payload_words);
+  RankOracle<gf::GF2> oracle(k);
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (std::size_t step = 0; step < rounds; ++step) {
+    std::vector<std::uint8_t> c(k, 0);
+    const auto kind = util::uniform_below(rng, 4);
+    if (kind == 0 && !sent.empty()) {
+      c = sent[util::uniform_below(rng, sent.size())];
+    } else if (kind == 1 && sent.size() >= 2) {
+      for (const auto& prev : sent) {
+        if (util::uniform_below(rng, 2) == 0) continue;
+        for (std::size_t i = 0; i < k; ++i) c[i] ^= prev[i];
+      }
+    } else {
+      for (auto& b : c) b = static_cast<std::uint8_t>(util::uniform_below(rng, 2));
+    }
+    const bool in_span = oracle.rank_with(c) == oracle.rank();
+    const auto pkt = packet_for_bits(c);
+    ASSERT_EQ(dut.contains(pkt.coeffs), in_span) << "step " << step;
+    const std::size_t rank_before = dut.rank();
+    const bool helpful = dut.insert(pkt);
+    oracle.append(c);
+    sent.push_back(c);
+    ASSERT_EQ(helpful, !in_span) << "step " << step;
+    ASSERT_EQ(dut.rank(), rank_before + (helpful ? 1 : 0));
+    ASSERT_EQ(dut.rank(), oracle.rank()) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(check_rows_consistent(dut, step));
+  }
+
+  for (std::size_t i = 0; i < k; ++i) {
+    std::vector<std::uint8_t> e(k, 0);
+    e[i] = 1;
+    dut.insert(packet_for_bits(e));
+  }
+  ASSERT_TRUE(dut.full_rank());
+  ASSERT_NO_FATAL_FAILURE(check_rows_consistent(dut, rounds));
+
+  const auto before = stored_symbols(dut);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<std::uint8_t> c(k);
+    for (auto& b : c) b = static_cast<std::uint8_t>(util::uniform_below(rng, 2));
+    auto junk = packet_for_bits(c);
+    for (auto& w : junk.payload) w = util::random_bits(rng, 64);
+    ASSERT_FALSE(dut.insert(junk));
+  }
+  ASSERT_EQ(stored_symbols(dut), before);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto got = dut.decoded_message(i);
+    ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), x[i]) << "message " << i;
+  }
+}
+
+TEST(DifferentialDecoder, BitDecoderWidePayloadAgainstOracle) {
+  run_bit_differential(51, 16, 9, 60);
+  run_bit_differential(52, 70, 6, 160);
 }
 
 TEST(DifferentialDecoder, BitDecoderAndDenseGf2DecodeSamePayloads) {

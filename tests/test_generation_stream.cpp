@@ -4,9 +4,11 @@
 // messages to a one-shot k = G*g decode over the same injected stream.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "coding/scheduler.hpp"
@@ -123,6 +125,50 @@ TEST(GenerationStream, DeterministicReplay) {
   const auto b = run_once(7);
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+// A pinned GF(256) stream with payloads long enough to run every SIMD
+// kernel's vector body and its tail (200 = 3 * 64 + 8 bytes).  The expected
+// values were captured before the coefficient-first insert and the GFNI
+// backend existed; the forced-backend reruns of this binary hold every
+// backend to them.  The checksum folds every delivery in hook order: node,
+// message, latency and each payload byte.
+TEST(GenerationStream, Gf256GoldenAnchor) {
+  auto cfg = stream_config(8, 3, coding::GenPolicy::RarestFirst, 96);
+  cfg.payload_len = 200;
+  coding::StreamingSwarm<core::Gf256Decoder> swarm(
+      std::make_unique<sim::CompleteTopology>(16), cfg);
+  std::uint64_t checksum = 0xcbf29ce484222325ull;
+  auto fold = [&](std::uint64_t x) { checksum = (checksum ^ x) * 0x100000001b3ull; };
+  swarm.set_delivery_hook([&](graph::NodeId v, std::uint64_t m,
+                              std::span<const std::uint8_t> payload,
+                              std::uint64_t latency) {
+    fold(v);
+    fold(m);
+    fold(latency);
+    for (const std::uint8_t b : payload) fold(b);
+  });
+  sim::Rng rng(1815);
+  ASSERT_TRUE(sim::run(swarm, rng, 100000).completed);
+  EXPECT_EQ(swarm.delivered_messages(), 96u * 16u);
+  EXPECT_EQ(swarm.rounds_elapsed(), 246u);
+  EXPECT_EQ(swarm.stalled_rounds(), 137u);
+  // The histogram's nonzero bins (latency in rounds -> deliveries).
+  const auto& hist = swarm.latency_histogram();
+  EXPECT_EQ(hist.size(), 74u);
+  std::map<std::size_t, std::uint64_t> bins;
+  for (std::size_t i = 0; i < hist.size(); ++i) {
+    if (hist[i] != 0) bins[i] = hist[i];
+  }
+  const std::map<std::size_t, std::uint64_t> want{
+      {1, 24},  {2, 24},  {3, 24},  {4, 24},  {30, 2},  {31, 2},  {32, 8},  {33, 16},
+      {34, 16}, {35, 22}, {36, 28}, {37, 28}, {38, 32}, {39, 48}, {40, 54}, {41, 60},
+      {42, 68}, {43, 64}, {44, 66}, {45, 64}, {46, 70}, {47, 78}, {48, 78}, {49, 80},
+      {50, 74}, {51, 70}, {52, 64}, {53, 56}, {54, 50}, {55, 46}, {56, 42}, {57, 38},
+      {58, 30}, {59, 20}, {60, 12}, {61, 10}, {62, 12}, {63, 6},  {64, 4},  {65, 4},
+      {66, 4},  {67, 2},  {68, 2},  {69, 2},  {70, 2},  {71, 2},  {72, 2},  {73, 2}};
+  EXPECT_EQ(bins, want);
+  EXPECT_EQ(checksum, 1488312166886548249ull);
 }
 
 // Peak decoder + scheduler state depends on (n, g, W, payload) only: a 4x

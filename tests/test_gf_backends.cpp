@@ -3,21 +3,23 @@
 // Every backend this build + CPU provides is checked byte-for-byte against
 // an elementwise GF(256) reference (and against the scalar backend, which is
 // the shipped reference implementation) over:
-//   * lengths 0..130 -- crosses the 16-byte SSSE3 and 32-byte AVX2 vector
-//     widths several times, including every tail size;
+//   * lengths 0..130 -- crosses the 16-byte SSSE3, 32-byte AVX2 and 64-byte
+//     GFNI vector widths, including every tail size;
 //   * unaligned source/destination offsets 0..31 -- no kernel may require
 //     alignment;
-//   * all 256 multiplicands at spot lengths -- the split-nibble tables must
-//     agree with log/exp multiplication everywhere, including c = 0 / 1.
+//   * all 256 multiplicands at spot lengths -- the split-nibble tables and
+//     the GFNI affine matrices must agree with log/exp multiplication
+//     everywhere, including c = 0 / 1.
 // Buffers carry guard bands, so a kernel that over-reads is caught by ASan
-// (CI forces AG_GF_BACKEND=avx2 under ASan) and a kernel that over-WRITES is
-// caught right here by the guard comparison.
+// (CI forces AG_GF_BACKEND=avx2 and =gfni under ASan) and a kernel that
+// over-WRITES is caught right here by the guard comparison.
 //
 // The dispatch tests assert the AG_GF_BACKEND forcing contract: every
 // available backend can be forced by name, and unknown or unavailable names
 // fall back gracefully to the detected best instead of aborting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "gf/backend/backend.hpp"
+#include "gf/backend/nibble_tables.hpp"
 #include "gf/bulk_ops.hpp"
 #include "gf/gf2m.hpp"
 
@@ -224,6 +227,25 @@ TEST(GfBackend, DispatchedXorWordsMatchesScalar) {
   }
 }
 
+// The GFNI kernels' matrices, applied bit by bit the way GF2P8AFFINEQB
+// reads them (output bit i = parity of byte 7 - i AND the source byte), are
+// multiplication by c for every c and every source byte.  Needs no GFNI
+// hardware, so the tables are checked on every host.
+TEST(GfBackend, AffineMatricesMatchMultiply) {
+  const auto& m = be::detail::affine_matrices();
+  for (unsigned c = 0; c < 256; ++c) {
+    for (unsigned s = 0; s < 256; ++s) {
+      unsigned out = 0;
+      for (unsigned i = 0; i < 8; ++i) {
+        const auto row = static_cast<unsigned>((m.affine[c] >> (8 * (7 - i))) & 0xff);
+        out |= static_cast<unsigned>(std::popcount(row & s) & 1) << i;
+      }
+      ASSERT_EQ(out, GF256::mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(s)))
+          << "c=" << c << " s=" << s;
+    }
+  }
+}
+
 std::string backend_param_name(const ::testing::TestParamInfo<be::Backend>& info) {
   return be::to_string(info.param);
 }
@@ -285,7 +307,7 @@ TEST_F(GfBackendDispatch, UnknownNameFallsBackToDetectedBest) {
 TEST_F(GfBackendDispatch, UnavailableBackendFallsBackGracefully) {
   // Request every backend we know the NAME of; whether or not this build/CPU
   // provides it, selection must land on a non-null kernel table.
-  for (const char* name : {"scalar", "ssse3", "avx2"}) {
+  for (const char* name : {"scalar", "ssse3", "avx2", "gfni"}) {
     ::setenv("AG_GF_BACKEND", name, 1);
     const be::Backend got = be::reselect();
     EXPECT_NE(be::table_for(got), nullptr) << "forced " << name;
