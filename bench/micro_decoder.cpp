@@ -1,7 +1,9 @@
 // E8 -- micro benchmarks for the incremental decoders (google-benchmark):
 // insert cost (the per-received-packet work of every gossip node) and
 // random_combination cost (the per-transmission work), dense GF(256) vs
-// bit-packed GF(2).  Both run on whatever GF kernel backend the dispatcher
+// bit-packed GF(2).  The GF(2) combination runs from random full-rank rows,
+// with and without a payload; BM_BitInsertDependent is the rejected insert
+// at rank k/2.  Both run on whatever GF kernel backend the dispatcher
 // selected (force with AG_GF_BACKEND to compare).
 //
 // The BM_Stream* cases use the stream-gf256 benchmark shape (GF(256),
@@ -82,16 +84,53 @@ void BM_DenseRandomCombination(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseRandomCombination)->Arg(32)->Arg(128);
 
+// A bit decoder with `payload` words per row, filled to `rank` with random
+// packets (rows that are full combinations, not unit vectors).
+BitDecoder bit_decoder(std::size_t k, std::size_t payload, std::size_t rank,
+                       ag::sim::Rng& rng) {
+  BitDecoder d(k, payload);
+  BitDecoder::packet_type p;
+  p.coeffs.resize(BitDecoder::words_for(k));
+  p.payload.resize(payload);
+  while (d.rank() < rank) {
+    for (auto& w : p.coeffs) w = rng();
+    if (k % 64) p.coeffs.back() &= (std::uint64_t{1} << (k % 64)) - 1;
+    for (auto& w : p.payload) w = rng();
+    d.insert(p);
+  }
+  return d;
+}
+
+// One transmission from a full-rank node: range(0) = k, range(1) = payload
+// words (0 = the rank tracker's shape), into a reused packet.
 void BM_BitRandomCombination(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   ag::sim::Rng rng(14);
-  BitDecoder d(k, 2);
-  for (std::size_t i = 0; i < k; ++i) d.insert(d.unit_packet(i));
+  const BitDecoder d = bit_decoder(k, static_cast<std::size_t>(state.range(1)), k, rng);
+  BitDecoder::packet_type out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(d.random_combination(rng));
+    benchmark::DoNotOptimize(d.random_combination_into(rng, out));
+    benchmark::DoNotOptimize(out.coeffs.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_BitRandomCombination)->Arg(64)->Arg(512);
+BENCHMARK(BM_BitRandomCombination)->ArgsProduct({{32, 64, 256, 1024}, {0, 8}});
+
+// A packet from the receiver's own row space at rank k/2: rejected, state
+// unchanged, so every iteration is the same kind of insert (the kind that
+// is 97% of barbell-128's).
+void BM_BitInsertDependent(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  ag::sim::Rng rng(19);
+  BitDecoder d = bit_decoder(k, 0, k / 2, rng);
+  std::vector<BitDecoder::packet_type> packets(64);
+  for (auto& p : packets) d.random_combination_into(rng, p);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.insert(packets[i++ & 63]));
+  }
+}
+BENCHMARK(BM_BitInsertDependent)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 
 constexpr std::size_t kStreamK = 16;
 constexpr std::size_t kStreamPayload = 1024;

@@ -21,7 +21,14 @@
 ///     default plan has one shard -- a single stripe for the whole swarm,
 ///     exactly the serial layout.  At n = 100k, k = 32 over GF(2) the whole
 ///     swarm's decoder state is ~26 MiB in three allocations instead of
-///     ~400k separate heap blocks.
+///     ~400k separate heap blocks.  The row arena is sized without being
+///     written (util::UninitVector) and reset(v) rewinds only v's pivot map
+///     and rank: a view reads rows below its rank alone, so rows at or
+///     above it are never read (prefetch() is a hint).  Building a swarm
+///     therefore writes only the pivot maps, and a row's page is first
+///     touched when a row lands in it.  Debug builds fill fresh and reset
+///     rows with a nonzero poison pattern instead, so a read of a dead row
+///     changes a verdict there rather than seeing zeros.
 ///
 /// Store interface consumed by RlncSwarm:
 ///   Store(n, k, payload_len)      construct n empty decoders
@@ -47,6 +54,7 @@
 #include "core/shard_plan.hpp"
 #include "graph/graph.hpp"
 #include "linalg/rank_tracker.hpp"
+#include "util/aligned.hpp"
 
 namespace ag::core {
 
@@ -60,6 +68,16 @@ void prefetch_lines(std::span<const T> s) noexcept {
   constexpr std::size_t kStep = sizeof(T) >= 64 ? 1 : 64 / sizeof(T);
   for (std::size_t i = 0; i < s.size(); i += kStep) __builtin_prefetch(&s[i]);
   __builtin_prefetch(&s.back());
+}
+
+/// Marks rows no view may read (see the file comment): a nonzero fill in
+/// debug builds, nothing in release builds.
+template <typename T>
+void poison_dead_rows([[maybe_unused]] std::span<T> rows,
+                      [[maybe_unused]] T pattern) noexcept {
+#ifndef NDEBUG
+  std::ranges::fill(rows, pattern);
+#endif
 }
 
 }  // namespace detail
@@ -120,11 +138,13 @@ class DenseRankStore {
   /// (rank-only storage has no payload arena).
   DenseRankStore(std::size_t n, std::size_t k, std::size_t /*payload_len*/ = 0)
       : n_(n), k_(k),
-        arena_(n * k * k, F::zero),
+        arena_(n * k * k),
         pivot_row_(n * k, linalg::kNoPivot),
         rank_(n, 0),
         plan_(n, 1),
-        scratch_(k, F::zero) {}
+        scratch_(k, F::zero) {
+    detail::poison_dead_rows(std::span(arena_), kPoison);
+  }
 
   ref_type at(graph::NodeId v) {
     return ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * k_,
@@ -141,10 +161,11 @@ class DenseRankStore {
                           rank_.data() + v, scratch_stripe(v), k_);
   }
 
+  /// Rewinds node v's pivot map and rank; its rows are left as they are
+  /// (see the file comment).
   void reset(graph::NodeId v) {
     const std::size_t base = static_cast<std::size_t>(v) * k_;
-    std::fill(arena_.begin() + static_cast<std::ptrdiff_t>(base * k_),
-              arena_.begin() + static_cast<std::ptrdiff_t>((base + k_) * k_), F::zero);
+    detail::poison_dead_rows(std::span(arena_).subspan(base * k_, k_ * k_), kPoison);
     std::fill(pivot_row_.begin() + static_cast<std::ptrdiff_t>(base),
               pivot_row_.begin() + static_cast<std::ptrdiff_t>(base + k_),
               linalg::kNoPivot);
@@ -178,9 +199,12 @@ class DenseRankStore {
     return scratch_.data() + plan_.shard_of(v) * k_;
   }
 
+  // The largest symbol: nonzero and valid in every field.
+  static constexpr auto kPoison = static_cast<value_type>(F::order - 1);
+
   std::size_t n_;
   std::size_t k_;
-  std::vector<value_type> arena_;        // n * k rows of k symbols
+  util::UninitVector<value_type> arena_; // n * k rows of k symbols
   std::vector<std::uint32_t> pivot_row_; // n * k pivot->row maps
   std::vector<std::uint32_t> rank_;      // n rank counters
   ShardPlan plan_;                       // owner of the stripe <-> node map
@@ -199,11 +223,13 @@ class BitRankStore {
 
   BitRankStore(std::size_t n, std::size_t k, std::size_t /*payload_words*/ = 0)
       : n_(n), k_(k), words_(linalg::BitDecoder::words_for(k)),
-        arena_(n * k * words_, 0),
+        arena_(n * k * words_),
         pivot_row_(n * k, linalg::kNoPivot),
         rank_(n, 0),
         plan_(n, 1),
-        scratch_(words_, 0) {}
+        scratch_(words_, 0) {
+    detail::poison_dead_rows(std::span(arena_), kPoison);
+  }
 
   ref_type at(graph::NodeId v) {
     return ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * words_,
@@ -217,10 +243,10 @@ class BitRankStore {
                           rank_.data() + v, scratch_stripe(v), k_);
   }
 
+  /// Rewinds node v's pivot map and rank (see DenseRankStore::reset).
   void reset(graph::NodeId v) {
     const std::size_t base = static_cast<std::size_t>(v) * k_;
-    std::fill(arena_.begin() + static_cast<std::ptrdiff_t>(base * words_),
-              arena_.begin() + static_cast<std::ptrdiff_t>((base + k_) * words_), 0);
+    detail::poison_dead_rows(std::span(arena_).subspan(base * words_, k_ * words_), kPoison);
     std::fill(pivot_row_.begin() + static_cast<std::ptrdiff_t>(base),
               pivot_row_.begin() + static_cast<std::ptrdiff_t>(base + k_),
               linalg::kNoPivot);
@@ -253,10 +279,12 @@ class BitRankStore {
     return scratch_.data() + plan_.shard_of(v) * words_;
   }
 
+  static constexpr std::uint64_t kPoison = 0xA5A5A5A5A5A5A5A5u;
+
   std::size_t n_;
   std::size_t k_;
   std::size_t words_;
-  std::vector<std::uint64_t> arena_;
+  util::UninitVector<std::uint64_t> arena_;  // n * k rows of words_ words
   std::vector<std::uint32_t> pivot_row_;
   std::vector<std::uint32_t> rank_;
   ShardPlan plan_;

@@ -16,6 +16,22 @@
 /// words first and the payload words only for a helpful packet; back
 /// elimination XORs a stored row's coefficient tail and payload in one
 /// xor_words call over the contiguous stripe.
+///
+/// The two kernels every gossip round runs avoid a data-dependent branch
+/// per row:
+///   * the uniform combination draws one 64-bit word per 64 stored rows and
+///     walks the set bits of the draw, XORing each selected row in.  When
+///     the row is one coefficient word and nothing else (a rank tracker at
+///     k <= 64, the pooled engines' shape) it instead sums all 64 rows of
+///     the chunk in a register, each masked by its bit (row & (0 - bit)),
+///     and stores the word once;
+///   * the coefficient pass of a one-word row sums, in a register, the row
+///     of every set bit of the packet, masked to zero when no row owns that
+///     pivot, and stores the reduced word once.
+/// Wider rows keep the per-bit XOR of coefficient tails: micro_decoder
+/// measured the masked forms slower there (they load a row for every set
+/// bit, owned or not, and lose xor_words' vector path).  Draws, verdicts and
+/// stored rows are those of the per-row loops (tests/bit_row_loop_oracle.hpp).
 #pragma once
 
 #include <algorithm>
@@ -55,7 +71,8 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
   using Base = detail::RrefViewBase<BitRrefView, std::uint64_t, BitPacket, Mutable>;
   friend Base;
   using Base::kNoColumn, Base::k_, Base::width_, Base::pivot_row_, Base::rank_,
-      Base::scratch_, Base::row_ptr, Base::tail, Base::coeff_tail;
+      Base::payload_, Base::row_stride_, Base::scratch_, Base::row_ptr, Base::tail,
+      Base::coeff_tail;
 
  public:
   using value_type = std::uint64_t;
@@ -118,20 +135,36 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
   }
 
   /// Uniform random combination (each stored row joins with probability
-  /// 1/2).  Random bits are drawn via util::random_bits, 64 rows per draw,
-  /// so any URBG width is handled.
+  /// 1/2).  One util::random_bits(rng, 64) draw per chunk of 64 stored rows,
+  /// bit i selecting row i of the chunk, so any URBG width is handled and
+  /// the draws depend on the rank alone.  The selected rows are summed
+  /// without a per-row branch (file comment).
   template <typename URBG>
   bool random_combination_into(URBG& rng, packet_type& out) const {
-    return this->combine(out, [&rng, bits = std::uint64_t{0}, avail = 0u]() mutable {
-      if (avail == 0) {
-        bits = util::random_bits(rng, 64);
-        avail = 64;
+    const std::uint32_t rank = *rank_;
+    if (rank == 0) return false;
+    out.coeffs.assign(width_, 0);
+    out.payload.assign(payload_, 0);
+    for (std::uint32_t base = 0; base < rank; base += 64) {
+      const std::uint32_t n = std::min<std::uint32_t>(rank - base, 64);
+      const std::uint64_t bits = util::random_bits(rng, 64);
+      if (width_ == 1 && payload_ == 0) {
+        std::uint64_t a = 0;
+        const std::uint64_t* r = row_ptr(base);
+        for (std::uint32_t i = 0; i < n; ++i, r += row_stride_) {
+          a ^= *r & (0 - ((bits >> i) & 1));
+        }
+        out.coeffs[0] ^= a;
+        continue;
       }
-      const std::uint64_t take = bits & 1;
-      bits >>= 1;
-      --avail;
-      return take;
-    });
+      const std::uint64_t live = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+      for (std::uint64_t b = bits & live; b != 0; b &= b - 1) {
+        const std::uint64_t* r = row_ptr(base + std::countr_zero(b));
+        gf::xor_words(out.coeffs, {r, width_});
+        if (payload_ != 0) gf::xor_words(out.payload, this->payload_of(r));
+      }
+    }
+    return true;
   }
 
   /// Sparse-coding variant: each stored row joins the XOR independently with
@@ -152,9 +185,10 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
   /// no later XOR reaches it (stored rows are zero before their pivot word).
   /// Full = false (contains()) stops at the first such word; Full = true
   /// (insert()) finishes the pass, so the row ends zero at every pivot
-  /// column as a stored row must be.
+  /// column as a stored row must be.  One-word rows take reduce_word().
   template <bool Full>
   std::size_t reduce(std::span<const std::uint64_t> coeffs) const {
+    if (width_ == 1) return reduce_word(coeffs[0]);
     const std::span<std::uint64_t> row = this->stage_coeffs(coeffs);
     std::size_t pivot = kNoColumn;
     for (std::size_t w = 0; w < width_; ++w) {
@@ -170,6 +204,24 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
     }
     assert(reduced_at_pivots(row));
     return pivot;
+  }
+
+  /// The coefficient pass of a one-word row (k <= 64), summed in a register
+  /// and stored to the scratch stripe once.  A set bit without a stored row
+  /// masks its load to zero instead of branching; row 0 stands in for the
+  /// missing row, so the sum runs only at rank > 0.
+  std::size_t reduce_word(std::uint64_t coeffs) const {
+    std::uint64_t a = coeffs;
+    if (*rank_ != 0) {
+      for (std::uint64_t bits = coeffs; bits != 0; bits &= bits - 1) {
+        const std::uint32_t ri = pivot_row_[std::countr_zero(bits)];
+        const std::uint64_t has = ri != kNoPivot;
+        a ^= *row_ptr(has ? ri : 0) & (0 - has);
+      }
+    }
+    *scratch_ = a;
+    assert(reduced_at_pivots({scratch_, 1}));
+    return a != 0 ? static_cast<std::size_t>(std::countr_zero(a)) : kNoColumn;
   }
 
   // Whether `row` is zero at every stored pivot column: true after a full

@@ -17,8 +17,8 @@
 /// corresponding full decoder (DenseRankTracker<F> vs DenseDecoder<F>,
 /// BitRankTracker vs BitDecoder).  This holds by construction: a tracker
 /// runs the decoder's own insert and transmit code (see below), insert()
-/// draws no randomness, and the transmit rules draw one coefficient per
-/// stored row in row order whatever the payload width.
+/// draws no randomness, and the transmit rules' draws depend on the rank
+/// alone, whatever the payload width.
 /// Stopping rounds at n where both fit in memory are therefore *equal*, not
 /// just statistically indistinguishable -- which is what lets the large-n
 /// sweep (bench/large_n_sweep) extrapolate with a clear conscience.

@@ -31,8 +31,14 @@
 /// are emitted with an empty payload, and decoded_message() is empty.  Every
 /// stopping time depends only on rank evolution, so a rank tracker fed the
 /// same packets gives the same verdicts as the full decoder, and its
-/// transmit rules draw the same RNG stream (one draw per stored row, in row
-/// order, in combine() below; payload arithmetic draws nothing).
+/// transmit rules draw the same RNG stream (the draws depend on the rank
+/// alone; payload arithmetic draws nothing).
+///
+/// combine() below is the transmit rules' shared row loop, one draw per
+/// stored row in row order.  Both rules of DenseRrefView and the sparse
+/// (density < 1) rule of BitRrefView run it.  BitRrefView's uniform rule has
+/// kernels of its own (bit_decoder.hpp) that take one 64-bit draw per 64
+/// stored rows.
 ///
 /// The template argument M (Mutable) is the view's const-ness: only a
 /// mutable view has insert(), so a const pooled store hands out views that
@@ -249,10 +255,11 @@ class RrefViewBase {
     return true;
   }
 
-  /// The transmit rules' row loop.  draw() is called once per stored row in
-  /// row order -- the RNG stream shared by decoders and trackers -- and a
-  /// nonzero draw c adds c times that row.  A rank tracker makes no payload
-  /// kernel call at all, not even a zero-length one.
+  /// The transmit rules' row loop (the file comment says which rules run
+  /// it).  draw() is called once per stored row in row order -- the RNG
+  /// stream shared by decoders and trackers -- and a nonzero draw c adds c
+  /// times that row.  A rank tracker makes no payload kernel call at all,
+  /// not even a zero-length one.
   template <typename Draw>
   bool combine(Packet& out, Draw draw) const {
     const std::uint32_t rank = *rank_;

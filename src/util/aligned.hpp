@@ -11,11 +11,17 @@
 // elements (`vector(n)`, `resize(n)`) allocates without writing a byte, so a
 // decoder's full-rank arena costs no page faults until rows land in it.
 // Pass an explicit value (`vector(n, T{})`) where zeros are wanted.
+//
+// An alignment no stricter than operator new's default (16 bytes on x86-64)
+// takes the plain allocation path: UninitVector<T> is the unwritten,
+// malloc-aligned vector the pooled rank stores (core/swarm_storage.hpp) size
+// their whole-swarm row arenas with.
 #pragma once
 
 #include <cstddef>
 #include <new>
 #include <type_traits>
+#include <vector>
 
 namespace ag::util {
 
@@ -39,11 +45,18 @@ struct AlignedAllocator {
   AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}
 
   T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{Align}));
+    if constexpr (Align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
+      return static_cast<T*>(::operator new(n * sizeof(T)));
+    } else {
+      return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{Align}));
+    }
   }
   void deallocate(T* p, std::size_t n) noexcept {
-    ::operator delete(p, n * sizeof(T), std::align_val_t{Align});
+    if constexpr (Align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
+      ::operator delete(p, n * sizeof(T));
+    } else {
+      ::operator delete(p, n * sizeof(T), std::align_val_t{Align});
+    }
   }
   template <typename U>
   void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
@@ -54,6 +67,11 @@ struct AlignedAllocator {
     return true;
   }
 };
+
+// A vector whose value-less sizing leaves the elements unwritten, at T's own
+// alignment.
+template <typename T>
+using UninitVector = std::vector<T, AlignedAllocator<T, alignof(T)>>;
 
 // Rounds a count of ElemSize-byte elements up so the total is a multiple of
 // `Align` bytes (used to pad row strides).  ElemSize must divide Align, or

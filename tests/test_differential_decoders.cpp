@@ -14,6 +14,10 @@
 // for helpful packets, over a flat arena; the oracle re-eliminates from
 // scratch every time.  Any divergence between the two is a decoder bug by
 // construction.
+//
+// BitDecoderKernel holds BitDecoder's transmit and coefficient kernels to
+// the row-loop oracles of bit_row_loop_oracle.hpp bit for bit, across word
+// boundaries of k, the 64-row chunks of one random draw and payload widths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "bit_row_loop_oracle.hpp"
 #include "core/decoders.hpp"
 #include "gf/gf2.hpp"
 #include "gf/gf2m.hpp"
@@ -491,6 +496,66 @@ TEST(DifferentialDecoder, ZeroAndDuplicateInsertsAreNeverHelpful) {
     EXPECT_TRUE(b.insert(bu));
     EXPECT_FALSE(b.insert(bu));
     EXPECT_EQ(b.rank(), 1u);
+  }
+}
+
+// --- BitDecoder kernels vs the row-loop oracles ----------------------------
+
+// The combination equals the per-row loop's packet bit for bit and leaves
+// the RNG where the loop leaves it, at every (k, rank, payload); one output
+// packet is reused throughout, as the engines do.
+TEST(BitDecoderKernel, RandomCombinationMatchesRowLoopOracle) {
+  linalg::BitPacket got;
+  for (const std::size_t k : test::kKernelK) {
+    for (const std::size_t payload : {0u, 3u, 9u}) {
+      for (const std::size_t r : test::kernel_ranks(k)) {
+        SCOPED_TRACE(testing::Message() << "k=" << k << " payload=" << payload << " rank=" << r);
+        sim::Rng fill(7000 + 31 * k + payload);
+        linalg::BitDecoder d(k, payload);
+        std::vector<linalg::BitPacket> sent;
+        while (d.rank() < r) d.insert(test::kernel_packet(k, payload, sent, fill));
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          sim::Rng a(seed * 977 + r), b(seed * 977 + r);
+          linalg::BitPacket want;
+          ASSERT_TRUE(d.random_combination_into(a, got));
+          ASSERT_TRUE(test::row_loop_combination(d, b, want));
+          ASSERT_EQ(got.coeffs, want.coeffs) << "seed " << seed;
+          ASSERT_EQ(got.payload, want.payload) << "seed " << seed;
+          ASSERT_EQ(a(), b()) << "RNG state diverged, seed " << seed;
+        }
+      }
+    }
+  }
+  // An empty decoder emits nothing and draws nothing.
+  linalg::BitDecoder empty(70, 3);
+  sim::Rng a(5), b(5);
+  EXPECT_FALSE(empty.random_combination_into(a, got));
+  EXPECT_EQ(a(), b());
+}
+
+// insert() and contains() verdicts and every stored row equal the row-loop
+// RREF's on mixed streams (dense, sparse, repeated, dependent and zero
+// packets), with and without a payload.
+TEST(BitDecoderKernel, InsertAndContainsMatchRowLoopOracle) {
+  for (const std::size_t k : test::kKernelK) {
+    for (const std::size_t payload : {0u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " payload=" << payload);
+      sim::Rng rng(8000 + 7 * k + payload);
+      linalg::BitDecoder d(k, payload);
+      test::RowLoopRref oracle(k);
+      std::vector<linalg::BitPacket> sent;
+      for (std::size_t step = 0; step < 3 * k + 8; ++step) {
+        const auto p = test::kernel_packet(k, payload, sent, rng);
+        ASSERT_EQ(d.contains(p.coeffs), oracle.contains(p.coeffs)) << "step " << step;
+        ASSERT_EQ(d.insert(p), oracle.insert(p.coeffs)) << "step " << step;
+        ASSERT_EQ(d.rank(), oracle.rank());
+        for (std::size_t i = 0; i < d.rank(); ++i) {
+          const auto row = d.stored_coeff_row(i);
+          ASSERT_EQ(std::vector<std::uint64_t>(row.begin(), row.end()), oracle.row(i))
+              << "row " << i << " step " << step;
+        }
+      }
+    }
   }
 }
 

@@ -7,23 +7,28 @@
 //     thing a rank tracker drops).
 //   * Combination-stream identity: the transmit rules must consume the RNG
 //     identically (same draws, same coefficient output) -- this is what
-//     makes whole protocol runs match round for round.
+//     makes whole protocol runs match round for round.  The GF(2) kernels
+//     of trackers and pooled views also match the row-loop oracles of
+//     bit_row_loop_oracle.hpp bit for bit.
 //   * Pooled storage: the structure-of-arrays stores (swarm_storage.hpp)
 //     must behave exactly like per-node tracker objects, including churn
 //     resets, at the word and 32-byte boundaries of k.
 //   * Recycling: a cleared owner or a reset pooled node replays an insert
-//     stream exactly like a fresh decoder; VectorNodeStore's footprint is
-//     exact.
+//     stream exactly like a fresh decoder, also when the reset node was at
+//     full rank and its stale rows are still in the arena; VectorNodeStore's
+//     footprint is exact.
 //   * Golden-trace rerun: the pinned pre-refactor stopping-round vectors of
 //     test_golden_traces must be reproduced by rank-only swarms -- including
 //     a payload-carrying GF(256) config, because rank evolution is payload-
 //     independent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
+#include "bit_row_loop_oracle.hpp"
 #include "core/decoders.hpp"
 #include "core/dissemination.hpp"
 #include "core/experiment.hpp"
@@ -199,6 +204,52 @@ TEST(RankTracker, BitCombinationStreamMatchesBitDecoder) {
   }
 }
 
+// The GF(2) kernels of an owning tracker and of a pooled view (unpadded
+// rows) against the row-loop oracles: every contains() and insert() verdict
+// and stored row on a mixed stream, and at each rank of kernel_ranks(k) the
+// combination packet and the RNG state after it.
+TEST(RankTracker, PooledAndOwnedKernelsMatchRowLoopOracle) {
+  for (const std::size_t k : test::kKernelK) {
+    SCOPED_TRACE(k);
+    core::BitRankStore pool(3, k, 0);
+    linalg::BitRankTracker solo(k);
+    test::RowLoopRref oracle(k);
+    const auto ranks = test::kernel_ranks(k);
+    sim::Rng rng(9000 + k);
+    std::vector<linalg::BitPacket> sent;
+    linalg::BitPacket got;
+    for (std::size_t step = 0; step < 3 * k + 8; ++step) {
+      const auto p = test::kernel_packet(k, 0, sent, rng);
+      const bool in_span = oracle.contains(p.coeffs);
+      ASSERT_EQ(pool.at(1).contains(p.coeffs), in_span) << "step " << step;
+      ASSERT_EQ(solo.contains(p.coeffs), in_span) << "step " << step;
+      const bool helpful = oracle.insert(p.coeffs);
+      ASSERT_EQ(pool.at(1).insert(p), helpful) << "step " << step;
+      ASSERT_EQ(solo.insert(p), helpful) << "step " << step;
+      for (std::size_t i = 0; i < oracle.rank(); ++i) {
+        const auto a = pool.at(1).stored_coeff_row(i);
+        const auto b = solo.stored_coeff_row(i);
+        ASSERT_EQ(std::vector<std::uint64_t>(a.begin(), a.end()), oracle.row(i)) << "step " << step;
+        ASSERT_EQ(std::vector<std::uint64_t>(b.begin(), b.end()), oracle.row(i)) << "step " << step;
+      }
+      if (!helpful || !std::ranges::binary_search(ranks, oracle.rank())) continue;
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        sim::Rng ra(seed + step), rb(seed + step), rc(seed + step);
+        linalg::BitPacket want, mine;
+        ASSERT_TRUE(pool.at(1).random_combination_into(ra, got));
+        ASSERT_TRUE(solo.random_combination_into(rb, mine));
+        ASSERT_TRUE(test::row_loop_combination(solo, rc, want));
+        ASSERT_EQ(got.coeffs, want.coeffs) << "rank " << oracle.rank();
+        ASSERT_EQ(mine.coeffs, want.coeffs) << "rank " << oracle.rank();
+        ASSERT_TRUE(got.payload.empty() && mine.payload.empty());
+        const auto next = rc();
+        ASSERT_EQ(ra(), next);
+        ASSERT_EQ(rb(), next);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pooled SoA stores == per-node tracker objects.
 // ---------------------------------------------------------------------------
@@ -315,7 +366,10 @@ std::vector<std::uint64_t> replay_log(D&& d, const std::vector<Packet>& stream) 
     log.push_back(xs.size());
     log.insert(log.end(), xs.begin(), xs.end());
   };
-  for (const auto& p : stream) log.push_back(d.insert(p));
+  for (const auto& p : stream) {
+    log.push_back(d.contains(p.coeffs));
+    log.push_back(d.insert(p));
+  }
   log.push_back(d.rank());
   for (std::size_t i = 0; i < d.rank(); ++i) put(d.stored_coeff_row(i));
   sim::Rng rng(77);
@@ -359,6 +413,34 @@ void expect_reset_replays_fresh(std::size_t k) {
   used.reset(1);
   EXPECT_EQ(used.at(1).rank(), 0u);
   EXPECT_EQ(replay_log(used.at(1), stream), replay_log(fresh.at(1), stream));
+}
+
+// A pooled node filled to full rank and reset keeps its old rows in the
+// arena (release builds) or a poison fill (debug builds); neither may change
+// a verdict, a stored row or a combination.
+template <typename Store, typename Tracker>
+void expect_full_reset_replays_fresh(std::size_t k) {
+  SCOPED_TRACE(k);
+  Store pool(3, k, 0);
+  for (const auto& p : random_stream<typename Store::ref_type>(k, 0, 3000 + k)) {
+    pool.at(1).insert(p);
+  }
+  for (std::size_t i = 0; i < k; ++i) pool.at(1).insert(pool.at(1).unit_packet(i));
+  ASSERT_TRUE(pool.at(1).full_rank());
+  pool.reset(1);
+  const auto stream = random_stream<typename Store::ref_type>(k, 0, 4000 + k);
+  Tracker fresh(k);
+  EXPECT_EQ(replay_log(pool.at(1), stream), replay_log(fresh, stream));
+}
+
+TEST(RankStore, FullRankResetNodeReplaysLikeFreshTracker) {
+  for (const std::size_t k : {1, 32, 64, 65, 130}) {
+    expect_full_reset_replays_fresh<core::BitRankStore, linalg::BitRankTracker>(k);
+  }
+  for (const std::size_t k : {1, 31, 32, 33}) {
+    expect_full_reset_replays_fresh<core::DenseRankStore<gf::GF256>,
+                                    linalg::DenseRankTracker<gf::GF256>>(k);
+  }
 }
 
 TEST(RankStore, ClearAndResetReplayLikeFreshDecoders) {
