@@ -56,7 +56,6 @@ Cell run_cell(const graph::Graph& g, std::size_t k, double fraction,
     const auto placement = core::single_source(k, 0);
     core::UniformAG<core::Gf2Decoder> proto(g, placement, cfg);
 
-    const sim::AdversarialTransport<linalg::BitPacket>* tp = nullptr;
     std::uint64_t expect_rejected = 0;
     if (fraction > 0.0) {
       std::size_t m = static_cast<std::size_t>(fraction * static_cast<double>(n));
@@ -68,7 +67,7 @@ Cell run_cell(const graph::Graph& g, std::size_t k, double fraction,
       acfg.mode = mode;
       acfg.seed = seed + r;
       auto adv = std::make_shared<sim::Adversary>(n, acfg);
-      tp = core::attach_adversary<linalg::BitPacket>(
+      core::attach_adversary<linalg::BitPacket>(
           proto, std::move(adv),
           core::ByzantineShape{k, proto.swarm().node(0).payload_length()});
     }
@@ -76,7 +75,7 @@ Cell run_cell(const graph::Graph& g, std::size_t k, double fraction,
     const auto res = sim::run(proto, rng, budget);
     cell.rounds.push_back(static_cast<double>(res.rounds));
     cell.all_completed = cell.all_completed && res.completed;
-    const std::uint64_t forged = tp ? tp->forged_sends() : 0;
+    const std::uint64_t forged = proto.forged_sends();
     const std::uint64_t rejected = proto.swarm().malformed_receives();
     cell.forged += forged;
     cell.rejected += rejected;

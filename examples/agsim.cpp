@@ -215,10 +215,9 @@ RunRecord run_uniform_ag(const Options& o, std::unique_ptr<sim::TopologyView> to
                          std::size_t n, sim::Rng& rng, const core::AgConfig& cfg) {
   const auto placement = build_placement(o, n, rng);
   core::UniformAG<D, Store> proto(std::move(topo), placement, cfg);
-  const sim::AdversarialTransport<typename D::packet_type>* tp = nullptr;
   if (o.byzantine > 0.0) {
     auto adv = std::make_shared<sim::Adversary>(n, byzantine_config(o));
-    tp = core::attach_adversary<typename D::packet_type>(
+    core::attach_adversary<typename D::packet_type>(
         proto, std::move(adv),
         core::ByzantineShape{o.k, proto.swarm().node(0).payload_length()});
   }
@@ -226,7 +225,7 @@ RunRecord run_uniform_ag(const Options& o, std::unique_ptr<sim::TopologyView> to
   RunRecord rec;
   rec.rounds = static_cast<double>(res.rounds);
   rec.wire_mbits = proto.wire_bits() / 1e6;
-  if (tp) rec.forged = tp->forged_sends();
+  rec.forged = proto.forged_sends();
   rec.rejected = proto.swarm().malformed_receives();
   rec.decoded = res.completed;
   return rec;
@@ -333,7 +332,7 @@ int main(int argc, char** argv) {
     usage("--byzantine applies to --protocol uniform-ag|uncoded");
   }
   if (o.byzantine > 0.0 && o.shards_set) {
-    usage("--byzantine decorates the classic transport seam; drop --shards");
+    usage("--byzantine runs on the classic serial engine; drop --shards");
   }
 
   // Under --implicit the clique families are served analytically: no edge
@@ -448,15 +447,14 @@ int main(int argc, char** argv) {
       ucfg.direction = dir;
       ucfg.drop_probability = o.drop;
       core::UncodedGossip proto(*g, placement, ucfg);
-      const sim::AdversarialTransport<std::uint32_t>* tp = nullptr;
       if (o.byzantine > 0.0) {
         auto adv = std::make_shared<sim::Adversary>(n, byzantine_config(o));
-        tp = core::attach_adversary<std::uint32_t>(proto, std::move(adv),
-                                                   core::ByzantineShape{o.k, 0});
+        core::attach_adversary<std::uint32_t>(proto, std::move(adv),
+                                              core::ByzantineShape{o.k, 0});
       }
       const auto res = sim::run(proto, rng, o.max_rounds);
       rec.rounds = static_cast<double>(res.rounds);
-      if (tp) rec.forged = tp->forged_sends();
+      rec.forged = proto.forged_sends();
       rec.rejected = proto.rejected_receives();
       rec.decoded = res.completed;
     } else if (o.protocol == "brr") {

@@ -2,7 +2,7 @@
 /// Packet forgers: the core-layer half of the Byzantine adversary.
 ///
 /// sim/adversary.hpp decides WHICH nodes lie and WHEN (membership, per-send
-/// family draws, the transport decorator); this header knows what the
+/// family draws; sim::Mailbox applies them); this header knows what the
 /// protocols' messages look like and implements the actual forgery for every
 /// mailbox message type in the tree:
 ///
@@ -179,35 +179,21 @@ void forge_in_place(sim::Rng& rng, sim::AttackMode family, const ByzantineShape&
       msg);
 }
 
-/// Builds the forge callback sim::AdversarialTransport expects for a given
-/// mailbox message type.
-template <typename Msg>
-typename sim::AdversarialTransport<Msg>::Forge make_forge(ByzantineShape sh) {
-  return [sh](sim::Rng& rng, sim::AttackMode family, graph::NodeId /*to*/, Msg& m) {
-    forge_in_place(rng, family, sh, m);
-  };
-}
-
-/// Wraps `proto`'s transport seam with an AdversarialTransport: a fresh
-/// deterministic SimTransport inner (carrying over the currently configured
-/// channel) decorated with the adversary.  Call before the first send.
-/// Returns the decorator (owned by the protocol) for stats access.
+/// Makes `adversary`'s members forge every message they send through
+/// `proto`, with the forger for its mailbox message type `Msg`.  The
+/// protocol keeps its own delivery settings (channel, same-sender filter).
+/// Call before the first send; read the count with `proto.forged_sends()`.
 ///
 /// The protocol's own insert-time verification MUST be armed for coded
 /// protocols (AgConfig.verify_inserts) -- the decoders assume canonical
 /// shapes and must never see a forged frame.
 template <typename Msg, typename Protocol>
-sim::AdversarialTransport<Msg>* attach_adversary(
-    Protocol& proto, std::shared_ptr<sim::Adversary> adversary, ByzantineShape sh,
-    bool discard_same_sender_per_round = false) {
-  auto inner = std::make_unique<sim::SimTransport<Msg>>(proto.time_model(),
-                                                        discard_same_sender_per_round);
-  inner->set_channel(proto.channel());
-  auto decorated = std::make_unique<sim::AdversarialTransport<Msg>>(
-      std::move(inner), std::move(adversary), make_forge<Msg>(sh));
-  auto* raw = decorated.get();
-  proto.set_transport(std::move(decorated));
-  return raw;
+void attach_adversary(Protocol& proto, std::shared_ptr<sim::Adversary> adversary,
+                      ByzantineShape sh) {
+  proto.set_adversary(std::move(adversary), [sh](sim::Rng& rng, sim::AttackMode family,
+                                                 graph::NodeId /*to*/, Msg& m) {
+    forge_in_place(rng, family, sh, m);
+  });
 }
 
 }  // namespace ag::core

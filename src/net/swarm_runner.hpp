@@ -1,5 +1,5 @@
 /// \file
-/// SwarmRunner: a real-time gossip driver over the Transport seam -- what a
+/// SwarmRunner: a real-time gossip driver over net::UdpTransport -- what a
 /// node actually runs when the "rounds" of the simulator are replaced by
 /// wall-clock ticks and real datagrams.
 ///

@@ -1,17 +1,19 @@
 /// \file
-/// UdpTransport: the sim::Transport seam over real nonblocking UDP sockets.
+/// UdpTransport: coded frames over real nonblocking UDP sockets.
 ///
 /// One UdpSocketSet socket per locally hosted node; every send serializes
 /// the packet through the versioned wire format (net/wire.hpp) and every
-/// received datagram is decode-verified before the protocol sees it -- a
+/// received datagram is decode-verified before the driver sees it -- a
 /// malformed or shape-mismatched frame increments stats().decode_failures
 /// and is dropped, never delivered and never fatal.  Sender identity comes
 /// from a reverse EndpointTable lookup on the datagram's source address;
 /// frames from unknown endpoints are rejected the same way.
 ///
-/// Seam contract notes (see sim/transport.hpp):
-///   - send() transmits immediately (UDP has no round barrier); drain()
-///     delivers whatever is readable right now, in kernel arrival order.
+/// Delivery rules:
+///   - send_generation() transmits immediately (UDP has no round barrier);
+///     drain_generations() delivers whatever is readable right now, in
+///     kernel arrival order.  Loopback datagrams to self still arrive
+///     through a drain.
 ///   - Delivery callbacks are borrowed per call, never stored.
 ///   - set_channel() is honored as SYNTHETIC loss on top of the real link:
 ///     a non-admitting channel drops the frame before the sendto.  Useful
@@ -19,7 +21,7 @@
 ///
 /// Control frames (the swarm driver's watermark gossip) ride the same
 /// sockets with WireField::Control; they are queued on a side inbox during
-/// drain() and handed to the driver via take_control() -- a queue instead
+/// a drain and handed to the driver via take_control() -- a queue instead
 /// of a stored callback, keeping the no-stored-callback rule.
 #pragma once
 
@@ -35,7 +37,7 @@
 namespace ag::net {
 
 template <typename Msg>
-class UdpTransport final : public sim::Transport<Msg> {
+class UdpTransport {
  public:
   /// \param socks        bound sockets, one per entry of `local_nodes`
   ///                     (socket i belongs to node local_nodes[i]); borrowed,
@@ -57,25 +59,7 @@ class UdpTransport final : public sim::Transport<Msg> {
     }
   }
 
-  /// Seam sends and drains speak generation 0 (the one-shot protocols);
-  /// nothing is ever delivered synchronously -- loopback datagrams to self
-  /// still arrive through drain().
-  void send(NodeId from, NodeId to, const Msg& msg, sim::DeliverRef<Msg>) override {
-    send_generation(from, to, 0, msg);
-  }
-
-  void send(NodeId from, NodeId to, Msg&& msg, sim::DeliverRef<Msg>) override {
-    send_generation(from, to, 0, msg);
-  }
-
-  void drain(sim::DeliverRef<Msg> deliver) override {
-    drain_generations([&](NodeId from, NodeId to, std::uint32_t, const Msg& m) {
-      deliver(from, to, m);
-    });
-  }
-
-  /// Sends a coded frame tagged with a wire-v2 generation id.  Not part of
-  /// the sim::Transport seam -- the swarm driver calls it directly.
+  /// Sends a coded frame tagged with a wire-v2 generation id.
   void send_generation(NodeId from, NodeId to, std::uint32_t generation,
                        const Msg& msg) {
     ++stats_.messages_sent;
@@ -124,10 +108,10 @@ class UdpTransport final : public sim::Transport<Msg> {
     stats_.recv_errors = socks_.recv_errors();
   }
 
-  const sim::TransportStats& stats() const noexcept override { return stats_; }
+  const sim::TransportStats& stats() const noexcept { return stats_; }
 
-  void set_channel(sim::Channel ch) override { channel_ = std::move(ch); }
-  const sim::Channel& channel() const noexcept override { return channel_; }
+  void set_channel(sim::Channel ch) { channel_ = std::move(ch); }
+  const sim::Channel& channel() const noexcept { return channel_; }
 
   /// Sends a control frame from a local node.  Not subject to the synthetic
   /// channel (control traffic is the driver's, not the protocol's).
@@ -136,7 +120,8 @@ class UdpTransport final : public sim::Transport<Msg> {
     if (send_frame(from, to, len)) stats_.bytes_sent += len;
   }
 
-  /// Control frames received since the last call (drained during drain()).
+  /// Control frames received since the last call (queued by
+  /// drain_generations()).
   std::vector<ControlFrame> take_control() {
     std::vector<ControlFrame> out;
     out.swap(control_inbox_);

@@ -1,6 +1,8 @@
 /// \file
-/// Byzantine adversary policy: WHICH nodes lie, HOW they lie, and the
-/// transport decorator that makes them lie -- protocol- and packet-agnostic.
+/// Byzantine adversary policy: WHICH nodes lie and HOW they lie --
+/// protocol- and packet-agnostic.  sim::Mailbox::set_adversary makes them
+/// lie: it rewrites every message a member sends before the transport sees
+/// it.
 ///
 /// This is the sim-layer half of the adversarial scenario subsystem (ROADMAP
 /// item 5).  The sim layer cannot name decoder packet types (the layer DAG
@@ -13,7 +15,7 @@
 /// its OWN Rng stream, seeded at construction via Rng::for_stream with a
 /// dedicated stream id.  Membership selection and every forgery draw come
 /// from that stream and from nothing else, and honest traffic consumes zero
-/// adversary draws.  Crucially the decorator REPLACES message content after
+/// adversary draws.  Crucially the mailbox REPLACES message content after
 /// the honest protocol has already produced it, so the honest partner/coding
 /// draw sequence is byte-identical with and without an adversary attached --
 /// the golden stopping-round traces cannot shift when --byzantine is off,
@@ -34,14 +36,11 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "sim/rng.hpp"
-#include "sim/transport.hpp"
 #include "util/urbg.hpp"
 
 namespace ag::sim {
@@ -136,71 +135,6 @@ class Adversary {
   std::vector<std::uint8_t> byzantine_;
   std::vector<graph::NodeId> members_;
   Rng rng_;
-};
-
-/// \brief Transport decorator that corrupts every message a Byzantine node
-/// originates, leaving honest traffic untouched.
-///
-/// Installed through the Mailbox seam (`set_transport`), so one decorator
-/// covers all six protocols; PULL and EXCHANGE responses are sent with
-/// `from = responder`, so a Byzantine responder's reply legs are corrupted
-/// too, and a BROADCAST fan-out forges each copy independently (that is the
-/// equivocation).  The concrete mutation is the `forge` callback (see
-/// core/byzantine.hpp); it receives the resolved attack family and the
-/// adversary's stream and must mutate the message in place.
-template <typename Msg>
-class AdversarialTransport final : public Transport<Msg> {
- public:
-  using Forge = std::function<void(Rng&, AttackMode, graph::NodeId to, Msg&)>;
-
-  AdversarialTransport(std::unique_ptr<Transport<Msg>> inner,
-                       std::shared_ptr<Adversary> adversary, Forge forge)
-      : inner_(std::move(inner)),
-        adversary_(std::move(adversary)),
-        forge_(std::move(forge)) {
-    assert(inner_ && adversary_ && forge_);
-  }
-
-  void send(graph::NodeId from, graph::NodeId to, const Msg& msg,
-            DeliverRef<Msg> deliver) override {
-    if (!adversary_->is_byzantine(from)) {
-      inner_->send(from, to, msg, deliver);
-      return;
-    }
-    Msg forged = msg;
-    forge_(adversary_->rng(), adversary_->draw_family(), to, forged);
-    ++forged_sends_;
-    inner_->send(from, to, std::move(forged), deliver);
-  }
-
-  void send(graph::NodeId from, graph::NodeId to, Msg&& msg,
-            DeliverRef<Msg> deliver) override {
-    if (!adversary_->is_byzantine(from)) {
-      inner_->send(from, to, std::move(msg), deliver);
-      return;
-    }
-    forge_(adversary_->rng(), adversary_->draw_family(), to, msg);
-    ++forged_sends_;
-    inner_->send(from, to, std::move(msg), deliver);
-  }
-
-  void drain(DeliverRef<Msg> deliver) override { inner_->drain(deliver); }
-
-  const TransportStats& stats() const noexcept override { return inner_->stats(); }
-
-  void set_channel(Channel ch) override { inner_->set_channel(std::move(ch)); }
-  const Channel& channel() const noexcept override { return inner_->channel(); }
-
-  /// Messages whose content this decorator replaced.
-  std::uint64_t forged_sends() const noexcept { return forged_sends_; }
-
-  const Adversary& adversary() const noexcept { return *adversary_; }
-
- private:
-  std::unique_ptr<Transport<Msg>> inner_;
-  std::shared_ptr<Adversary> adversary_;
-  Forge forge_;
-  std::uint64_t forged_sends_ = 0;
 };
 
 }  // namespace ag::sim

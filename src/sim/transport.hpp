@@ -1,44 +1,26 @@
 /// \file
-/// The transport seam: the interface between a gossip protocol's delivery
-/// semantics and whatever actually moves its messages.
+/// SimTransport: the one in-process message path every protocol's sends and
+/// round barriers go through.
 ///
-/// Protocols never talk to a transport directly -- they inherit from
-/// sim::Mailbox (mailbox.hpp), which owns a Transport and forwards every
-/// send/barrier through it.  Two implementations exist:
+/// Protocols never talk to it directly -- they inherit from sim::Mailbox
+/// (mailbox.hpp), which holds a SimTransport by value and forwards every
+/// send/barrier to it.  It realises the synchronous model's delivery rule,
+/// "information received in the current round is available for sending only
+/// at the beginning of the next round" (Section 2), with buffered slot-pool
+/// delivery, delivers immediately under the asynchronous model, and injects
+/// loss via sim::Channel.  The golden stopping-round traces pin its
+/// behaviour byte for byte.
 ///
-///   SimTransport (this file)      : the deterministic in-process default.
-///     Buffered slot-pool delivery under the synchronous model, immediate
-///     delivery under the asynchronous model, loss injection via
-///     sim::Channel.  This is byte-for-byte the behavior Mailbox had before
-///     the seam existed -- the golden stopping-round traces pin it.
-///   net::UdpTransport (net/udp_transport.hpp) : the same contract over
-///     nonblocking UDP sockets, serializing packets through the versioned
-///     wire format (net/wire.hpp).
-///
-/// Contract:
-///   - send(from, to, msg, deliver) offers one message.  The transport MAY
-///     invoke `deliver` synchronously before returning (immediate-delivery
-///     paths: the asynchronous sim model) or buffer/transmit and deliver
-///     later from drain().
-///   - drain(deliver) is the round barrier: it delivers everything buffered
-///     or currently readable, in arrival order, then returns.  Under the
-///     synchronous sim model this realises "information received in round t
-///     is usable only from round t+1".
-///   - Delivery callbacks are *borrowed for the duration of the call only*
-///     (DeliverRef is a non-owning function ref).  A transport must never
-///     store one: protocol objects move, and a stored callback would dangle.
-///     This is what keeps protocols movable while Mailbox resolves the CRTP
-///     deliver() target at each call site.
+/// Delivery callbacks are taken per call and never stored: protocol objects
+/// move, and a stored callback into one would dangle.
 ///
 /// Determinism clause: SimTransport consumes randomness only through its
 /// Channel (which has its OWN seeded stream and draws exactly once per send
-/// attempt when lossy, never when ideal).  Swapping transports therefore
-/// cannot shift partner selection or coding coefficients; a protocol on
-/// SimTransport is stream-identical to the pre-seam Mailbox.
+/// attempt when lossy, never when ideal), so loss injection cannot shift
+/// partner selection or coding coefficients.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -51,8 +33,8 @@ namespace ag::sim {
 
 using graph::NodeId;
 
-/// Aggregate counters every transport keeps.  The byte counters stay zero
-/// for SimTransport (nothing is serialized); socket transports fill them.
+/// Aggregate message counters.  The byte counters stay zero for
+/// SimTransport (nothing is serialized); net::UdpTransport fills them.
 struct TransportStats {
   std::uint64_t messages_sent = 0;     ///< send() calls (pre-loss)
   std::uint64_t messages_dropped = 0;  ///< lost to the Channel / send errors
@@ -65,54 +47,10 @@ struct TransportStats {
                                       ///< distinct from "nothing readable")
 };
 
-/// Non-owning reference to a delivery callback `void(from, to, const Msg&)`.
-/// Trivially copyable, no allocation, valid only for the borrowing call --
-/// see the file comment for why transports must not store one.
-template <typename Msg>
-class DeliverRef {
- public:
-  template <typename F>
-  DeliverRef(F& f) noexcept  // NOLINT(google-explicit-constructor)
-      : obj_(&f), fn_([](void* o, NodeId from, NodeId to, const Msg& m) {
-          (*static_cast<F*>(o))(from, to, m);
-        }) {}
-
-  void operator()(NodeId from, NodeId to, const Msg& m) const { fn_(obj_, from, to, m); }
-
- private:
-  void* obj_;
-  void (*fn_)(void*, NodeId, NodeId, const Msg&);
-};
-
-/// The seam interface.  Implementations decide buffering, serialization and
-/// loss; the Mailbox decides what delivery *means* (the protocol's deliver).
-template <typename Msg>
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  virtual void send(NodeId from, NodeId to, const Msg& msg, DeliverRef<Msg> deliver) = 0;
-  /// Rvalue overload: the transport may steal the message's buffers.
-  virtual void send(NodeId from, NodeId to, Msg&& msg, DeliverRef<Msg> deliver) = 0;
-
-  /// Round barrier: deliver everything buffered or readable, then return.
-  virtual void drain(DeliverRef<Msg> deliver) = 0;
-
-  virtual const TransportStats& stats() const noexcept = 0;
-
-  /// Synthetic loss injection.  The sim transport honors it (lossy Channel);
-  /// wire transports may ignore it -- their links are lossy for real.
-  virtual void set_channel(Channel ch) = 0;
-  virtual const Channel& channel() const noexcept = 0;
-};
-
-/// The deterministic in-process default: the pre-seam Mailbox delivery
-/// machinery verbatim.
-///
-/// Allocation behaviour (unchanged): the synchronous inbox is a slot pool.
-/// Buffered envelopes are never destroyed at the barrier -- only a cursor is
-/// reset -- so a message type with heap buffers (coded packets) reuses its
-/// capacity round after round and the steady state allocates nothing.  The
+/// Allocation behaviour: the synchronous inbox is a slot pool.  Buffered
+/// envelopes are never destroyed at the barrier -- only a cursor is reset --
+/// so a message type with heap buffers (coded packets) reuses its capacity
+/// round after round and the steady state allocates nothing.  The
 /// asynchronous path delivers by const reference without any copy at all.
 ///
 /// The optional per-round same-sender filter implements the simplifying
@@ -121,45 +59,39 @@ class Transport {
 /// by default; the benches use it to measure how conservative the
 /// assumption is.
 template <typename Msg>
-class SimTransport final : public Transport<Msg> {
+class SimTransport {
  public:
   SimTransport(TimeModel tm, bool discard_same_sender_per_round)
       : tm_(tm), discard_same_sender_(discard_same_sender_per_round) {}
 
   TimeModel time_model() const noexcept { return tm_; }
 
-  void send(NodeId from, NodeId to, const Msg& msg, DeliverRef<Msg> deliver) override {
+  /// Offers one message.  Synchronous: copied (or, for an rvalue, moved)
+  /// into a pooled slot until drain().  Asynchronous: `deliver(from, to,
+  /// msg)` runs before this returns, on the caller's object in place.
+  template <typename M, typename Deliver>
+  void send(NodeId from, NodeId to, M&& msg, Deliver&& deliver) {
     ++stats_.messages_sent;
-    if (dropped(from, to)) return;
+    if (!channel_.admits(from, to)) {
+      ++stats_.messages_dropped;
+      return;
+    }
     if (tm_ == TimeModel::Synchronous) {
       Envelope& e = next_slot();
       e.from = from;
       e.to = to;
-      e.msg = msg;
+      e.msg = std::forward<M>(msg);
     } else {
       ++stats_.messages_delivered;
-      deliver(from, to, msg);
+      deliver(from, to, std::as_const(msg));
     }
   }
 
-  void send(NodeId from, NodeId to, Msg&& msg, DeliverRef<Msg> deliver) override {
-    ++stats_.messages_sent;
-    if (dropped(from, to)) return;
-    if (tm_ == TimeModel::Synchronous) {
-      Envelope& e = next_slot();
-      e.from = from;
-      e.to = to;
-      e.msg = std::move(msg);
-    } else {
-      ++stats_.messages_delivered;
-      deliver(from, to, msg);
-    }
-  }
-
-  // Applies buffered messages in send order, then resets the slot cursor
-  // (slots stay alive so their buffers are reused next round).  No-op under
-  // the asynchronous model.
-  void drain(DeliverRef<Msg> deliver) override {
+  /// Round barrier: applies buffered messages in send order, then resets
+  /// the slot cursor (slots stay alive so their buffers are reused next
+  /// round).  No-op under the asynchronous model.
+  template <typename Deliver>
+  void drain(Deliver&& deliver) {
     if (inbox_used_ == 0) return;
     if (discard_same_sender_) {
       seen_pairs_.clear();
@@ -180,10 +112,10 @@ class SimTransport final : public Transport<Msg> {
     inbox_used_ = 0;
   }
 
-  const TransportStats& stats() const noexcept override { return stats_; }
+  const TransportStats& stats() const noexcept { return stats_; }
 
-  void set_channel(Channel ch) override { channel_ = std::move(ch); }
-  const Channel& channel() const noexcept override { return channel_; }
+  void set_channel(Channel ch) { channel_ = std::move(ch); }
+  const Channel& channel() const noexcept { return channel_; }
 
  private:
   struct Envelope {
@@ -191,14 +123,6 @@ class SimTransport final : public Transport<Msg> {
     NodeId to = 0;
     Msg msg{};
   };
-
-  bool dropped(NodeId from, NodeId to) {
-    if (!channel_.admits(from, to)) {
-      ++stats_.messages_dropped;
-      return true;
-    }
-    return false;
-  }
 
   Envelope& next_slot() {
     if (inbox_used_ == inbox_.size()) inbox_.emplace_back();

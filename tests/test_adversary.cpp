@@ -1,6 +1,6 @@
 // End-to-end tests for the Byzantine scenario layer: sim::Adversary picks
-// the liars, core/byzantine.hpp forges their traffic through the transport
-// seam, and the insert-time verification hook (armed via
+// the liars, core/byzantine.hpp forges their traffic as the protocol's
+// mailbox sends it, and the insert-time verification hook (armed via
 // AgConfig.verify_inserts) must reject 100% of the detectable injections
 // while honest nodes still reach full rank and decode.
 //
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/byzantine.hpp"
@@ -107,12 +108,12 @@ void uniform_ag_rejects_all(AttackMode mode, std::uint64_t seed) {
   core::UniformAG<D> proto(g, core::single_source(k, 5), cfg);
   auto adv = explicit_adversary(n, {0, 1, 2}, mode, seed);
   const core::ByzantineShape sh{k, proto.swarm().node(0).payload_length()};
-  auto* tp = core::attach_adversary<typename D::packet_type>(proto, adv, sh);
+  core::attach_adversary<typename D::packet_type>(proto, adv, sh);
 
   sim::Rng rng = sim::Rng::for_run(seed, 0);
   const auto res = sim::run(proto, rng, 200000);
   ASSERT_TRUE(res.completed);
-  EXPECT_GT(tp->forged_sends(), 0u);
+  EXPECT_GT(proto.forged_sends(), 0u);
 
   for (graph::NodeId v = 0; v < n; ++v) {
     ASSERT_TRUE(proto.swarm().node(v).full_rank()) << "v=" << v;
@@ -126,7 +127,7 @@ void uniform_ag_rejects_all(AttackMode mode, std::uint64_t seed) {
   // rank-waste is well-formed, so the hook passes it and the decoder
   // rejects it as dependent instead.
   if (mode == AttackMode::MalformedCoeffs || mode == AttackMode::GarbagePayload) {
-    EXPECT_EQ(proto.swarm().malformed_receives(), tp->forged_sends());
+    EXPECT_EQ(proto.swarm().malformed_receives(), proto.forged_sends());
   } else if (mode == AttackMode::RankWaste) {
     EXPECT_EQ(proto.swarm().malformed_receives(), 0u);
   }
@@ -176,13 +177,12 @@ TEST(AdversaryUniformAg, RankOnlyStoreRejectsInjection) {
   core::UniformAG<linalg::BitRankTracker, core::BitRankStore> proto(
       g, core::single_source(6, 5), cfg);
   auto adv = explicit_adversary(12, {0, 1}, AttackMode::GarbagePayload, 550);
-  auto* tp = core::attach_adversary<linalg::BitPacket>(
-      proto, adv, core::ByzantineShape{6, 0});
+  core::attach_adversary<linalg::BitPacket>(proto, adv, core::ByzantineShape{6, 0});
   sim::Rng rng = sim::Rng::for_run(550, 0);
   const auto res = sim::run(proto, rng, 200000);
   ASSERT_TRUE(res.completed);
-  EXPECT_GT(tp->forged_sends(), 0u);
-  EXPECT_EQ(proto.swarm().malformed_receives(), tp->forged_sends());
+  EXPECT_GT(proto.forged_sends(), 0u);
+  EXPECT_EQ(proto.swarm().malformed_receives(), proto.forged_sends());
   for (graph::NodeId v = 0; v < 12; ++v) {
     EXPECT_TRUE(proto.swarm().node(v).full_rank()) << "v=" << v;
   }
@@ -190,7 +190,7 @@ TEST(AdversaryUniformAg, RankOnlyStoreRejectsInjection) {
 
 // ---------------------------------------------------------------------------
 // Equivocation: under BROADCAST one activation fans the same honest packet
-// to every neighbor, and the decorator forges each copy independently with
+// to every neighbor, and the mailbox forges each copy independently with
 // a fresh family draw -- receivers see a mix of malformed (hook-rejected)
 // and rank-waste (decoder-rejected) frames.
 // ---------------------------------------------------------------------------
@@ -204,15 +204,15 @@ TEST(AdversaryUniformAg, EquivocateBroadcastMixesFamilies) {
   core::UniformAG<core::Gf256Decoder> proto(g, core::single_source(4, 3), cfg);
   auto adv = explicit_adversary(8, {0}, AttackMode::Equivocate, 560);
   const core::ByzantineShape sh{4, proto.swarm().node(0).payload_length()};
-  auto* tp = core::attach_adversary<linalg::DensePacket<gf::GF256>>(proto, adv, sh);
+  core::attach_adversary<linalg::DensePacket<gf::GF256>>(proto, adv, sh);
   sim::Rng rng = sim::Rng::for_run(560, 0);
   const auto res = sim::run(proto, rng, 200000);
   ASSERT_TRUE(res.completed);
   // Node 0 broadcasts to 7 neighbors per activation; plenty of forgeries.
-  EXPECT_GE(tp->forged_sends(), 7u);
+  EXPECT_GE(proto.forged_sends(), 7u);
   const auto malformed = proto.swarm().malformed_receives();
   EXPECT_GT(malformed, 0u);                  // some draws were malformed families
-  EXPECT_LT(malformed, tp->forged_sends());  // ...and some were rank-waste
+  EXPECT_LT(malformed, proto.forged_sends());  // ...and some were rank-waste
   for (graph::NodeId v = 0; v < 8; ++v) {
     EXPECT_TRUE(proto.swarm().node(v).full_rank()) << "v=" << v;
   }
@@ -231,12 +231,11 @@ TEST(AdversaryUniformAg, AdversarialRunsAreDeterministic) {
     cfg.verify_inserts = true;
     core::UniformAG<core::Gf2Decoder> proto(g, core::single_source(5, 8), cfg);
     auto adv = explicit_adversary(12, {0, 11}, AttackMode::Equivocate, 570);
-    auto* tp = core::attach_adversary<linalg::BitPacket>(
-        proto, adv, core::ByzantineShape{5, 0});
+    core::attach_adversary<linalg::BitPacket>(proto, adv, core::ByzantineShape{5, 0});
     sim::Rng rng = sim::Rng::for_run(570, 0);
     const auto res = sim::run(proto, rng, 400000);
     EXPECT_TRUE(res.completed);
-    return std::tuple{res.rounds, tp->forged_sends(),
+    return std::tuple{res.rounds, proto.forged_sends(),
                       proto.swarm().malformed_receives()};
   };
   EXPECT_EQ(run_once(), run_once());
@@ -259,30 +258,42 @@ TEST(AdversaryUniformAg, VerificationAloneIsStreamInert) {
   EXPECT_EQ(rounds_with(true), rounds_with(false));
 }
 
+// A zero-member adversary must change nothing: not the stopping round and
+// not what is delivered.  The protocol keeps its own delivery settings -- the
+// same-sender filter and a lossy channel set before attaching.
 TEST(AdversaryUniformAg, EmptyAdversaryIsANoOp) {
-  const auto g = graph::make_grid(3, 4);
-  const auto rounds_with = [&](bool attach) {
-    AgConfig cfg;
-    cfg.verify_inserts = true;
-    core::UniformAG<core::Gf2Decoder> proto(g, core::single_source(5, 0), cfg);
-    std::uint64_t forged = 0;
-    if (attach) {
-      auto adv = explicit_adversary(12, {}, AttackMode::MalformedCoeffs);
-      auto* tp = core::attach_adversary<linalg::BitPacket>(
-          proto, adv, core::ByzantineShape{5, 0});
+  struct Case {
+    const char* name;
+    graph::Graph g;
+    bool discard_same_sender;
+    double drop;
+  };
+  const Case cases[] = {
+      {"grid", graph::make_grid(3, 4), false, 0.0},
+      {"complete+same-sender-filter", graph::make_complete(12), true, 0.0},
+      {"complete+lossy-channel", graph::make_complete(12), false, 0.2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto run_with = [&](bool attach) {
+      AgConfig cfg;
+      cfg.verify_inserts = true;
+      cfg.discard_same_sender_per_round = c.discard_same_sender;
+      core::UniformAG<core::Gf2Decoder> proto(c.g, core::single_source(5, 0), cfg);
+      if (c.drop > 0.0) proto.set_channel(sim::Channel::lossy(c.drop, 582));
+      if (attach) {
+        core::attach_adversary<linalg::BitPacket>(
+            proto, explicit_adversary(12, {}, AttackMode::MalformedCoeffs),
+            core::ByzantineShape{5, 0});
+      }
       sim::Rng rng = sim::Rng::for_run(581, 0);
       const auto res = sim::run(proto, rng, 200000);
       EXPECT_TRUE(res.completed);
-      forged = tp->forged_sends();
-      EXPECT_EQ(forged, 0u);
-      return res.rounds;
-    }
-    sim::Rng rng = sim::Rng::for_run(581, 0);
-    const auto res = sim::run(proto, rng, 200000);
-    EXPECT_TRUE(res.completed);
-    return res.rounds;
-  };
-  EXPECT_EQ(rounds_with(true), rounds_with(false));
+      EXPECT_EQ(proto.forged_sends(), 0u);
+      return std::pair{res.rounds, proto.transport_stats().messages_delivered};
+    };
+    EXPECT_EQ(run_with(true), run_with(false));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +314,7 @@ TEST(AdversaryTag, ControlPlanePassesDataPlaneRejected) {
   using Msg = typename decltype(proto)::message_type;
   auto adv = explicit_adversary(10, {9}, AttackMode::MalformedCoeffs, 590);
   const core::ByzantineShape sh{4, proto.swarm().node(0).payload_length()};
-  auto* tp = core::attach_adversary<Msg>(proto, adv, sh);
+  core::attach_adversary<Msg>(proto, adv, sh);
   sim::Rng rng = sim::Rng::for_run(590, 0);
   const auto res = sim::run(proto, rng, 400000);
   ASSERT_TRUE(res.completed);
@@ -314,7 +325,7 @@ TEST(AdversaryTag, ControlPlanePassesDataPlaneRejected) {
       ASSERT_TRUE(proto.swarm().decodes_correctly(v, i)) << "v=" << v;
     }
   }
-  EXPECT_GT(tp->forged_sends(), 0u);
+  EXPECT_GT(proto.forged_sends(), 0u);
 }
 
 TEST(AdversaryFixedTree, LeafForgeryRejectedTreeStillDecodes) {
@@ -326,12 +337,12 @@ TEST(AdversaryFixedTree, LeafForgeryRejectedTreeStillDecodes) {
   core::FixedTreeAG<core::Gf256Decoder> proto(tree, core::single_source(4, 0), cfg);
   auto adv = explicit_adversary(10, {5}, AttackMode::GarbagePayload, 591);
   const core::ByzantineShape sh{4, proto.swarm().node(0).payload_length()};
-  auto* tp = core::attach_adversary<linalg::DensePacket<gf::GF256>>(proto, adv, sh);
+  core::attach_adversary<linalg::DensePacket<gf::GF256>>(proto, adv, sh);
   sim::Rng rng = sim::Rng::for_run(591, 0);
   const auto res = sim::run(proto, rng, 400000);
   ASSERT_TRUE(res.completed);
-  EXPECT_GT(tp->forged_sends(), 0u);
-  EXPECT_EQ(proto.swarm().malformed_receives(), tp->forged_sends());
+  EXPECT_GT(proto.forged_sends(), 0u);
+  EXPECT_EQ(proto.swarm().malformed_receives(), proto.forged_sends());
   for (graph::NodeId v = 0; v < 10; ++v) {
     ASSERT_TRUE(proto.swarm().node(v).full_rank()) << "v=" << v;
   }
@@ -347,13 +358,12 @@ TEST(AdversaryUncoded, OutOfRangeIdsRejectedAndGossipCompletes) {
   core::UncodedConfig cfg;
   core::UncodedGossip proto(g, core::single_source(5, 7), cfg);
   auto adv = explicit_adversary(10, {0, 1}, AttackMode::Equivocate, 592);
-  auto* tp =
-      core::attach_adversary<std::uint32_t>(proto, adv, core::ByzantineShape{5, 0});
+  core::attach_adversary<std::uint32_t>(proto, adv, core::ByzantineShape{5, 0});
   sim::Rng rng = sim::Rng::for_run(592, 0);
   const auto res = sim::run(proto, rng, 200000);
   ASSERT_TRUE(res.completed);
-  EXPECT_GT(tp->forged_sends(), 0u);
-  EXPECT_EQ(proto.rejected_receives(), tp->forged_sends());
+  EXPECT_GT(proto.forged_sends(), 0u);
+  EXPECT_EQ(proto.rejected_receives(), proto.forged_sends());
   for (graph::NodeId v = 0; v < 10; ++v) EXPECT_EQ(proto.known_count(v), 5u);
 }
 
@@ -369,13 +379,12 @@ TEST(AdversaryTreeRouting, GuardRejectsButRoutingStaysFragile) {
   core::TreeRoutingConfig cfg;
   core::TreeRoutingGossip proto(tree, pl, cfg);
   auto adv = explicit_adversary(6, {1}, AttackMode::RankWaste, 593);
-  auto* tp =
-      core::attach_adversary<std::uint32_t>(proto, adv, core::ByzantineShape{2, 0});
+  core::attach_adversary<std::uint32_t>(proto, adv, core::ByzantineShape{2, 0});
   sim::Rng rng = sim::Rng::for_run(593, 0);
   const auto res = sim::run(proto, rng, 64);
   EXPECT_FALSE(res.completed);                // block 1 is gone forever
-  EXPECT_GT(tp->forged_sends(), 0u);
-  EXPECT_EQ(proto.rejected_receives(), tp->forged_sends());
+  EXPECT_GT(proto.forged_sends(), 0u);
+  EXPECT_EQ(proto.rejected_receives(), proto.forged_sends());
   for (graph::NodeId v = 2; v < 6; ++v) {
     EXPECT_EQ(proto.known_count(v), 1u) << "v=" << v;  // honest block arrived
   }

@@ -1,14 +1,20 @@
 // Simulation-engine tests: PRNG quality/determinism, partner selectors, the
 // synchronous "visible next round" semantics, asynchronous activation law,
-// and the mailbox's same-sender-per-round filter.
+// and the mailbox's same-sender-per-round filter and movability.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/decoders.hpp"
+#include "core/dissemination.hpp"
+#include "core/uniform_ag.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
@@ -314,6 +320,31 @@ TEST(MailboxTest, MessageCountTracksSends) {
   MultiSend p(false);
   sim::run(p, rng, 2);
   EXPECT_EQ(p.messages_sent(), 4u);
+}
+
+// The mailbox never stores a delivery callback: a protocol moved between a
+// round's sends and its barrier delivers the buffered messages into the
+// moved-to object and then runs exactly like one that was never moved.
+TEST(MailboxTest, MovedMidRoundProtocolMatchesUnmovedRun) {
+  using Proto = core::UniformAG<core::Gf2Decoder>;
+  const auto g = graph::make_grid(4, 5);
+  const auto run_with = [&](bool move) {
+    sim::Rng rng = sim::Rng::for_run(77, 0);
+    Proto original(g, core::single_source(8, 0), core::AgConfig{});
+    for (NodeId v = 0; v < original.node_count(); ++v) original.on_activate(v, rng);
+    EXPECT_GT(original.messages_sent(), 0u);
+    EXPECT_EQ(original.transport_stats().messages_delivered, 0u);  // all buffered
+    std::optional<Proto> moved;
+    Proto& p = move ? moved.emplace(std::move(original)) : original;
+    p.end_round();
+    EXPECT_EQ(p.transport_stats().messages_delivered, p.messages_sent());
+    const auto res = sim::run(p, rng, 100000);
+    EXPECT_TRUE(res.completed);
+    std::vector<std::uint64_t> finish;
+    for (NodeId v = 0; v < p.node_count(); ++v) finish.push_back(p.swarm().finish_round(v));
+    return std::tuple{1 + res.rounds, finish, p.transport_stats().messages_delivered};
+  };
+  EXPECT_EQ(run_with(true), run_with(false));
 }
 
 // --- Async round accounting --------------------------------------------------

@@ -1,17 +1,15 @@
-// Transport-seam tests (sim/transport.hpp + sim/mailbox.hpp): SimTransport's
+// Message-path tests (sim/transport.hpp + sim/mailbox.hpp): SimTransport's
 // unit-level contract (buffering, async immediacy, same-sender discard, loss
-// accounting), and the refactor's pin -- a protocol with an EXPLICITLY
-// injected SimTransport reproduces the golden stopping-round trace, so the
-// seam is bit-exact with the pre-seam Mailbox.
+// accounting), and the Mailbox surface over it (channel configuration and
+// counters).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/decoders.hpp"
 #include "core/dissemination.hpp"
-#include "core/experiment.hpp"
 #include "core/uniform_ag.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
@@ -37,13 +35,13 @@ TEST(SimTransport, SynchronousBuffersUntilDrainInSendOrder) {
   sim::SimTransport<int> t(sim::TimeModel::Synchronous, false);
   std::vector<Received> got;
   Collector c{&got};
-  t.send(0, 1, 10, sim::DeliverRef<int>(c));
-  t.send(2, 1, 20, sim::DeliverRef<int>(c));
+  t.send(0, 1, 10, c);
+  t.send(2, 1, 20, c);
   EXPECT_TRUE(got.empty()) << "sync sends must not deliver before the barrier";
   EXPECT_EQ(t.stats().messages_sent, 2u);
   EXPECT_EQ(t.stats().messages_delivered, 0u);
 
-  t.drain(sim::DeliverRef<int>(c));
+  t.drain(c);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].msg, 10);
   EXPECT_EQ(got[1].msg, 20);
@@ -51,7 +49,7 @@ TEST(SimTransport, SynchronousBuffersUntilDrainInSendOrder) {
 
   // Slot pool: a second round reuses the cursor, no stale redelivery.
   got.clear();
-  t.drain(sim::DeliverRef<int>(c));
+  t.drain(c);
   EXPECT_TRUE(got.empty());
 }
 
@@ -59,12 +57,12 @@ TEST(SimTransport, AsynchronousDeliversImmediately) {
   sim::SimTransport<int> t(sim::TimeModel::Asynchronous, false);
   std::vector<Received> got;
   Collector c{&got};
-  t.send(3, 4, 7, sim::DeliverRef<int>(c));
+  t.send(3, 4, 7, c);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].from, 3u);
   EXPECT_EQ(got[0].to, 4u);
   EXPECT_EQ(got[0].msg, 7);
-  t.drain(sim::DeliverRef<int>(c));  // barrier is a no-op
+  t.drain(c);  // barrier is a no-op
   EXPECT_EQ(got.size(), 1u);
 }
 
@@ -72,10 +70,10 @@ TEST(SimTransport, SameSenderPerRoundDiscardKeepsFirstOnly) {
   sim::SimTransport<int> t(sim::TimeModel::Synchronous, true);
   std::vector<Received> got;
   Collector c{&got};
-  t.send(0, 1, 1, sim::DeliverRef<int>(c));
-  t.send(0, 1, 2, sim::DeliverRef<int>(c));  // same (from, to): discarded
-  t.send(0, 2, 3, sim::DeliverRef<int>(c));  // different receiver: kept
-  t.drain(sim::DeliverRef<int>(c));
+  t.send(0, 1, 1, c);
+  t.send(0, 1, 2, c);  // same (from, to): discarded
+  t.send(0, 2, 3, c);  // different receiver: kept
+  t.drain(c);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].msg, 1);
   EXPECT_EQ(got[1].msg, 3);
@@ -88,9 +86,9 @@ TEST(SimTransport, LossyChannelCountsDropsAndDeliversRest) {
   Collector c{&got};
   const std::size_t sends = 200;
   for (std::size_t i = 0; i < sends; ++i) {
-    t.send(0, 1, static_cast<int>(i), sim::DeliverRef<int>(c));
+    t.send(0, 1, static_cast<int>(i), c);
   }
-  t.drain(sim::DeliverRef<int>(c));
+  t.drain(c);
   const auto& s = t.stats();
   EXPECT_EQ(s.messages_sent, sends);
   EXPECT_EQ(s.messages_dropped + s.messages_delivered, sends);
@@ -99,29 +97,9 @@ TEST(SimTransport, LossyChannelCountsDropsAndDeliversRest) {
   EXPECT_EQ(got.size(), s.messages_delivered);
 }
 
-// The refactor's pin: injecting a FRESH SimTransport through the public seam
-// must reproduce the same golden stopping rounds as the built-in default
-// (uag_gf2_grid_sync, seed 101 -- one of the 14 golden-trace cases).
-TEST(TransportSeam, ExplicitSimTransportReproducesGoldenTrace) {
-  const std::vector<double> kGolden = {18, 20, 17, 17};
-  const auto g = graph::make_grid(4, 5);
-  const auto rounds = core::stopping_rounds(
-      [&](sim::Rng& rng) {
-        const auto pl = core::uniform_distinct(10, 20, rng);
-        core::AgConfig cfg;
-        core::UniformAG<core::Gf2Decoder> p(g, pl, cfg);
-        using Pkt = core::UniformAG<core::Gf2Decoder>::packet_type;
-        p.set_transport(std::make_unique<sim::SimTransport<Pkt>>(
-            sim::TimeModel::Synchronous, cfg.discard_same_sender_per_round));
-        return p;
-      },
-      4, 101, 4000000);
-  EXPECT_EQ(rounds, kGolden);
-}
-
-// Channel configuration must flow through the seam: set_channel on the
-// mailbox configures whatever transport is installed.
-TEST(TransportSeam, ChannelThroughSeamMatchesDropProbabilityPath) {
+// Channel configuration must flow through the mailbox: set_channel and
+// AgConfig.drop_probability configure the same transport channel.
+TEST(MailboxTransport, SetChannelMatchesDropProbabilityPath) {
   const auto g = graph::make_complete(8);
   const auto run_with = [&](bool via_channel) {
     sim::Rng rng(555);
@@ -137,12 +115,12 @@ TEST(TransportSeam, ChannelThroughSeamMatchesDropProbabilityPath) {
     return std::pair<std::uint64_t, std::uint64_t>(res.rounds, p.messages_dropped());
   };
   const auto direct = run_with(false);
-  const auto seam = run_with(true);
-  EXPECT_EQ(direct, seam);
+  const auto via_channel = run_with(true);
+  EXPECT_EQ(direct, via_channel);
 }
 
 // Mailbox counters are views of the transport's stats -- no second ledger.
-TEST(TransportSeam, MailboxCountersMirrorTransportStats) {
+TEST(MailboxTransport, MailboxCountersMirrorTransportStats) {
   const auto g = graph::make_complete(8);
   sim::Rng rng(9);
   core::AgConfig cfg;

@@ -33,9 +33,12 @@ struct Received {
   Gf256Packet pkt;
 };
 
+// Every frame these tests send is tagged generation 0.
 struct Collector {
   std::vector<Received>* out;
-  void operator()(net::NodeId from, net::NodeId to, const Gf256Packet& p) const {
+  void operator()(net::NodeId from, net::NodeId to, std::uint32_t generation,
+                  const Gf256Packet& p) const {
+    EXPECT_EQ(generation, 0u);
     out->push_back({from, to, p});
   }
 };
@@ -63,13 +66,10 @@ TEST(UdpTransport, LoopbackSendDrainDeliversVerbatim) {
   net::UdpTransport<Gf256Packet> t(socks, table, {0, 1}, k, len);
 
   const Gf256Packet sent = make_packet(k, len, 1);
-  std::vector<Received> got;
-  Collector c{&got};
-  t.send(0, 1, sent, sim::DeliverRef<Gf256Packet>(c));
-  EXPECT_TRUE(got.empty()) << "UDP send must not deliver synchronously";
-
+  t.send_generation(0, 1, 0, sent);
   ASSERT_TRUE(t.wait_readable(2000));
-  t.drain(sim::DeliverRef<Gf256Packet>(c));
+  std::vector<Received> got;
+  t.drain_generations(Collector{&got});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].from, 0u);
   EXPECT_EQ(got[0].to, 1u);
@@ -160,7 +160,7 @@ TEST(UdpTransport, MalformedAndForeignDatagramsCountedNotDelivered) {
   Collector c{&got};
   for (int i = 0; i < 50 && t.stats().decode_failures < 3; ++i) {
     t.wait_readable(100);
-    t.drain(sim::DeliverRef<Gf256Packet>(c));
+    t.drain_generations(c);
   }
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(t.stats().decode_failures, 3u);
@@ -187,7 +187,7 @@ TEST(UdpTransport, ControlFramesRideTheSideInbox) {
   std::vector<net::ControlFrame> ctrl;
   for (int i = 0; i < 50 && ctrl.empty(); ++i) {
     t.wait_readable(100);
-    t.drain(sim::DeliverRef<Gf256Packet>(c));
+    t.drain_generations(c);
     auto batch = t.take_control();
     ctrl.insert(ctrl.end(), batch.begin(), batch.end());
   }
@@ -199,7 +199,7 @@ TEST(UdpTransport, ControlFramesRideTheSideInbox) {
 }
 
 // The synthetic channel drops BEFORE the sendto: loss injection works over
-// real sockets too, and the drop accounting matches the seam contract.
+// real sockets too, and the drop accounting matches SimTransport's.
 TEST(UdpTransport, SyntheticChannelLossAppliesBeforeTheWire) {
   REQUIRE_SOCKETS();
   net::UdpSocketSet socks;
@@ -214,9 +214,9 @@ TEST(UdpTransport, SyntheticChannelLossAppliesBeforeTheWire) {
   const Gf256Packet pkt = make_packet(4, 3, 4);
   std::vector<Received> got;
   Collector c{&got};
-  for (int i = 0; i < 10; ++i) t.send(0, 1, pkt, sim::DeliverRef<Gf256Packet>(c));
+  for (int i = 0; i < 10; ++i) t.send_generation(0, 1, 0, pkt);
   t.wait_readable(50);
-  t.drain(sim::DeliverRef<Gf256Packet>(c));
+  t.drain_generations(c);
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(t.stats().messages_sent, 10u);
   EXPECT_EQ(t.stats().messages_dropped, 10u);
