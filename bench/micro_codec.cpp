@@ -1,4 +1,4 @@
-// Micro benchmarks for the versioned wire codec (net/wire.hpp): encode and
+// Micro benchmarks for the wire codec (net/wire.hpp): encode and
 // decode throughput per packet field, in bytes/second of FRAME traffic --
 // what bounds a UdpTransport's per-datagram CPU cost on the socket hot path.
 //
@@ -71,16 +71,10 @@ void bench_decode(benchmark::State& state, const P& pkt, std::size_t k) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
 }
 
-// k = 64 coefficients, ~1 KiB payload per field (128 words / 8192 bits /
-// 1024 symbols), the "bulk block" shape.
+// k = 64 coefficients, ~1 KiB payload per field (128 words / 1024 symbols),
+// the "bulk block" shape.
 void BM_Encode_Gf2Bit(benchmark::State& s) { bench_encode(s, random_bit(64, 128, 1), 64); }
 void BM_Decode_Gf2Bit(benchmark::State& s) { bench_decode(s, random_bit(64, 128, 1), 64); }
-void BM_Encode_Gf2(benchmark::State& s) {
-  bench_encode(s, random_dense<gf::GF2>(64, 8192, 2), 64);
-}
-void BM_Decode_Gf2(benchmark::State& s) {
-  bench_decode(s, random_dense<gf::GF2>(64, 8192, 2), 64);
-}
 void BM_Encode_Gf16(benchmark::State& s) {
   bench_encode(s, random_dense<gf::GF16>(64, 1024, 3), 64);
 }
@@ -111,8 +105,6 @@ void BM_Decode_Gf256_SwarmFrame(benchmark::State& s) {
 
 BENCHMARK(BM_Encode_Gf2Bit);
 BENCHMARK(BM_Decode_Gf2Bit);
-BENCHMARK(BM_Encode_Gf2);
-BENCHMARK(BM_Decode_Gf2);
 BENCHMARK(BM_Encode_Gf16);
 BENCHMARK(BM_Decode_Gf16);
 BENCHMARK(BM_Encode_Gf256);

@@ -13,7 +13,7 @@
 //     loopback UDP: the launcher binds one socket per node (port 0, so the
 //     kernel assigns free ports racelessly), forks worker processes that
 //     inherit their nodes' descriptors, and every worker runs
-//     net::run_stream_swarm over a net::UdpTransport -- versioned wire
+//     net::run_stream_swarm over a net::UdpTransport -- wire
 //     frames carrying generation ids, epoll, gossiped per-node delivery
 //     watermarks -- until every node has delivered, byte-verified, every
 //     message.  `swarm` is the one-shot file: one generation of k blocks

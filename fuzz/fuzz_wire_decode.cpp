@@ -2,7 +2,7 @@
 //
 // The input IS the frame (no interpreted prefix, so seed frames from the
 // encoder are valid inputs byte for byte).  Each frame is offered to all
-// five packet codecs plus the control codec, under three shape
+// four packet codecs plus the control codec, under three shape
 // expectations per codec:
 //
 //   * the shape the header itself declares (the deep path: body parsing),
@@ -14,15 +14,13 @@
 //   1. decode_into never crashes, whatever the bytes (the contract of
 //      src/net/wire.hpp: malformed input is REJECTED, not fatal).
 //   2. Canonical encoding: if a frame decodes Ok, re-encoding the decoded
-//      packet at the version and generation the header reported reproduces
-//      the input bytes exactly (covers both v1 and v2 frames, and every
-//      generation id value the fuzzer mutates into the v2 header).
+//      packet with the generation the header reported reproduces the input
+//      bytes exactly (for every generation id value the fuzzer mutates into
+//      the header).
 //   3. A decoded packet is well-shaped: coeff/payload sizes match the
 //      expectation the decoder was constructed with, and every symbol is
 //      inside its field's range (what makes it safe to feed table-driven
 //      field arithmetic downstream).
-//   4. A frame the header reports as v1 carries generation 0 -- the v1
-//      layout has no generation field to smuggle one in.
 #include <algorithm>
 #include <cstdint>
 #include <span>
@@ -45,17 +43,10 @@ template <typename P>
 void check_canonical_reencode(const P& pkt, std::size_t k, const net::WireHeader& hdr,
                               std::span<const std::uint8_t> frame) {
   std::vector<std::uint8_t> again;
-  const std::size_t m = net::encode_into(pkt, k, again, hdr.generation, hdr.version);
+  const std::size_t m = net::encode_into(pkt, k, again, hdr.generation);
   FUZZ_ASSERT(m == frame.size(), "re-encoded size differs");
   FUZZ_ASSERT(std::equal(again.begin(), again.end(), frame.begin()),
               "re-encoded bytes differ (non-canonical decode accepted)");
-}
-
-void check_header_invariants(const net::WireHeader& hdr) {
-  FUZZ_ASSERT(hdr.version == net::kWireVersion || hdr.version == net::kWireVersionV1,
-              "decoded version outside the accepted set");
-  FUZZ_ASSERT(hdr.version != net::kWireVersionV1 || hdr.generation == 0,
-              "v1 frame decoded with a nonzero generation");
 }
 
 void check_bit_shape(std::span<const std::uint8_t> frame, std::size_t k,
@@ -63,7 +54,6 @@ void check_bit_shape(std::span<const std::uint8_t> frame, std::size_t k,
   linalg::BitPacket pkt;
   net::WireHeader hdr;
   if (net::decode_into(frame, k, len, pkt, hdr, kLimits) != DecodeStatus::Ok) return;
-  check_header_invariants(hdr);
   FUZZ_ASSERT(pkt.coeffs.size() == (k + 63) / 64, "coeff words != ceil(k/64)");
   FUZZ_ASSERT(pkt.payload.size() == len, "payload length != expectation");
   if (k % 64 != 0 && !pkt.coeffs.empty()) {
@@ -79,7 +69,6 @@ void check_dense_shape(std::span<const std::uint8_t> frame, std::size_t k,
   linalg::DensePacket<F> pkt;
   net::WireHeader hdr;
   if (net::decode_into(frame, k, len, pkt, hdr, kLimits) != DecodeStatus::Ok) return;
-  check_header_invariants(hdr);
   FUZZ_ASSERT(pkt.coeffs.size() == k, "coeff count != expectation");
   FUZZ_ASSERT(pkt.payload.size() == len, "payload length != expectation");
   for (const auto c : pkt.coeffs)
@@ -107,7 +96,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const std::span<const std::uint8_t> frame(data, size);
 
   check_field(frame, [](auto f, std::size_t k, std::size_t n) { check_bit_shape(f, k, n); });
-  check_field(frame, [](auto f, std::size_t k, std::size_t n) { check_dense_shape<gf::GF2>(f, k, n); });
   check_field(frame, [](auto f, std::size_t k, std::size_t n) { check_dense_shape<gf::GF16>(f, k, n); });
   check_field(frame, [](auto f, std::size_t k, std::size_t n) { check_dense_shape<gf::GF256>(f, k, n); });
   check_field(frame, [](auto f, std::size_t k, std::size_t n) { check_dense_shape<gf::GF65536>(f, k, n); });
@@ -115,9 +103,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   ag::net::ControlFrame ctl;
   net::WireHeader chdr;
   if (ag::net::decode_control(frame, ctl, chdr, kLimits) == DecodeStatus::Ok) {
-    check_header_invariants(chdr);
     std::vector<std::uint8_t> again;
-    const std::size_t m = net::encode_control(ctl, again, chdr.generation, chdr.version);
+    const std::size_t m = net::encode_control(ctl, again, chdr.generation);
     FUZZ_ASSERT(m == frame.size(), "control re-encoded size differs");
     FUZZ_ASSERT(std::equal(again.begin(), again.end(), frame.begin()),
                 "control re-encoded bytes differ");

@@ -3,7 +3,7 @@
 //
 //   gen_corpus <outdir>
 //
-// The seeds come from the real encoder (valid frames for all five packet
+// The seeds come from the real encoder (valid frames for all four packet
 // fields plus control, over shapes straddling every bit-packing boundary)
 // plus the malformed-frame corpus the wire tests pin: truncations, bad
 // magic/version/field, oversized counts, shape mismatch, trailing bytes,
@@ -13,6 +13,9 @@
 // The committed copy under fuzz/corpus/ is this tool's output; the
 // corpus_generate ctest fixture regenerates it into the build tree on every
 // run, so encoder drift shows up as replay/seed divergence, not silence.
+// Before writing, the tool deletes the valid_*/bad_* files already in
+// <outdir>, so a seed the generator no longer emits cannot linger in an
+// incremental build tree (other files are left alone).
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -79,6 +82,12 @@ int main(int argc, char** argv) {
   }
   g_out = argv[1];
   fs::create_directories(g_out);
+  for (const auto& entry : fs::directory_iterator(g_out)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("valid_", 0) == 0 || name.rfind("bad_", 0) == 0) {
+      fs::remove(entry.path());
+    }
+  }
 
   sim::Rng rng(20260808);
 
@@ -93,7 +102,6 @@ int main(int argc, char** argv) {
         return name;
       };
       emit(shaped("gf2bit"), frame_of(random_bit(k, len, rng), k));
-      emit(shaped("gf2"), frame_of(random_dense<gf::GF2>(k, len, rng), k));
       emit(shaped("gf16"), frame_of(random_dense<gf::GF16>(k, len, rng), k));
       emit(shaped("gf256"), frame_of(random_dense<gf::GF256>(k, len, rng), k));
       emit(shaped("gf64k"), frame_of(random_dense<gf::GF65536>(k, len, rng), k));
@@ -110,22 +118,14 @@ int main(int argc, char** argv) {
   net::encode_control(ctl, cf);
   emit("valid_control_empty", cf);
 
-  // --- generation-field and version-compat seeds --------------------------
+  // --- generation-field seeds ---------------------------------------------
   {
     const auto pkt = random_dense<gf::GF256>(5, 4, rng);
     std::vector<std::uint8_t> f;
     net::encode_into(pkt, 5, f, 0xdead00ffu);
     emit("valid_gen_nonzero", f);
-    net::encode_into(pkt, 5, f, 0, net::kWireVersionV1);
-    emit("valid_v1_gf256", f);
-    f.push_back(0x00);
-    emit("bad_v1_trailing", f);
-    net::encode_into(random_bit(13, 2, rng), 13, f, 0, net::kWireVersionV1);
-    emit("valid_v1_gf2bit", f);
     ctl.sender = 3;
     ctl.data = {0xaa, 0xbb};
-    net::encode_control(ctl, f, 0, net::kWireVersionV1);
-    emit("valid_v1_control", f);
     net::encode_control(ctl, f, 42);
     emit("valid_gen_control", f);
   }
@@ -152,8 +152,14 @@ int main(int argc, char** argv) {
   f[2] = 0;
   emit("bad_version_zero", f);
   f = base;
+  f[2] = 1;  // the retired 12-byte header layout
+  emit("bad_version_one", f);
+  f = base;
   f[3] = 6;  // first unassigned field id
   emit("bad_field_unassigned", f);
+  f = base;
+  f[3] = 2;  // retired dense GF(2) encoding
+  emit("bad_field_retired_gf2", f);
   f = base;
   f[3] = 0xff;
   emit("bad_field_ff", f);
@@ -177,7 +183,7 @@ int main(int argc, char** argv) {
   f = frame_of(random_dense<gf::GF16>(5, 4, rng), 5);
   f[net::kHeaderBytes] = 16;
   emit("bad_gf16_symbol", f);
-  f = frame_of(random_dense<gf::GF2>(5, 4, rng), 5);
+  f = frame_of(random_bit(5, 4, rng), 5);
   f[net::kHeaderBytes] |= 0x80;
   emit("bad_gf2_spare_bits", f);
 

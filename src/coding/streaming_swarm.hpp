@@ -55,7 +55,7 @@ namespace ag::coding {
 
 /// One coded frame of the streaming protocol: the inner packet plus the
 /// generation it codes over and the sender's rank there.  Over the wire
-/// (net/swarm_runner.hpp) the generation rides in the v2 header and the
+/// (net/swarm_runner.hpp) the generation rides in the wire header and the
 /// rank feedback is approximated locally; in-sim it travels in-struct.
 template <typename P>
 struct StreamPacket {

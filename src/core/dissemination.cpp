@@ -4,14 +4,6 @@
 
 namespace ag::core {
 
-std::vector<std::vector<std::size_t>> Placement::by_node(std::size_t n) const {
-  std::vector<std::vector<std::size_t>> out(n);
-  for (std::size_t i = 0; i < owner.size(); ++i) {
-    out[owner[i]].push_back(i);
-  }
-  return out;
-}
-
 OwnedIndex Placement::owned_index(std::size_t n) const {
   OwnedIndex idx;
   idx.offsets.assign(n + 1, 0);
@@ -19,7 +11,7 @@ OwnedIndex Placement::owned_index(std::size_t n) const {
   for (std::size_t v = 0; v < n; ++v) idx.offsets[v + 1] += idx.offsets[v];
   idx.items.resize(owner.size());
   // Counting sort over ascending message index i keeps each node's span
-  // ascending, matching by_node's per-node ordering.
+  // ascending.
   std::vector<std::uint32_t> cursor(idx.offsets.begin(), idx.offsets.end() - 1);
   for (std::size_t i = 0; i < owner.size(); ++i) {
     idx.items[cursor[owner[i]]++] = static_cast<std::uint32_t>(i);

@@ -34,11 +34,8 @@ struct Placement {
 
   std::size_t message_count() const noexcept { return owner.size(); }
 
-  // Messages held by each node (inverse map).
-  std::vector<std::vector<std::size_t>> by_node(std::size_t n) const;
-
-  // Same map in flat CSR layout (what RlncSwarm stores); per-node spans list
-  // message indices in ascending order, exactly like by_node.
+  // Messages held by each node (inverse map), in flat CSR layout; per-node
+  // spans list message indices in ascending order.
   OwnedIndex owned_index(std::size_t n) const;
 };
 

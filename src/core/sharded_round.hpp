@@ -143,6 +143,7 @@ class ShardedUniformAG {
           "(async serialises on a global activation order)");
     }
     swarm_.configure_shards(plan_.shard_count());
+    if (cfg.verify_inserts) swarm_.enable_verification();
     // The documented stream-derivation rule: run_seed is the first draw of
     // the run's classic stream; node v then draws from
     // for_stream(run_seed, v).  See ARCHITECTURE.md "sharded round

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -148,26 +147,11 @@ class RlncSwarm {
     return verify_inserts_ ? malformed_per_node_[v] : 0;
   }
 
-  /// RLNC transmit rule for node v; nullopt when v stores nothing.
-  template <typename URBG>
-  std::optional<packet_type> combine(graph::NodeId v, URBG& rng) const {
-    return store_.at(v).random_combination(rng);
-  }
-
-  /// Transmit rule with the coding ablations of AgConfig: no-recode forwards
-  /// a stored equation; density < 1 uses sparse combinations.
-  template <typename URBG>
-  std::optional<packet_type> combine(graph::NodeId v, URBG& rng, bool recode,
-                                     double density) const {
-    if (!recode) return store_.at(v).random_stored_row(rng);
-    if (density >= 1.0) return store_.at(v).random_combination(rng);
-    return store_.at(v).random_combination(rng, density);
-  }
-
-  /// Allocation-free transmit rules: write into a caller-owned packet whose
-  /// buffers are reused across calls.  Returns false when v stores nothing.
-  /// These are what the protocol hot loops use; the optional-returning
-  /// variants above remain for one-off callers.
+  /// RLNC transmit rule for node v, written into a caller-owned packet
+  /// whose buffers are reused across calls.  Returns false when v stores
+  /// nothing.  The second overload applies AgConfig's coding ablations:
+  /// no-recode forwards a stored equation; density < 1 uses sparse
+  /// combinations.
   template <typename URBG>
   bool combine_into(graph::NodeId v, URBG& rng, packet_type& out) const {
     return store_.at(v).random_combination_into(rng, out);

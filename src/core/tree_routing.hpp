@@ -58,7 +58,7 @@ class TreeRoutingGossip
         tree_(&tree),
         topo_(std::move(topo)),
         k_(placement.message_count()),
-        owned_(placement.by_node(tree.node_count())),
+        owned_(placement.owned_index(tree.node_count())),
         has_(tree.node_count()),
         up_queue_(tree.node_count()),
         up_cursor_(tree.node_count(), 0),
@@ -152,15 +152,13 @@ class TreeRoutingGossip
       down_queue_[c].clear();
       down_cursor_[c] = 0;
     }
-    for (const std::size_t i : owned_[v]) {
-      store(v, static_cast<std::uint32_t>(i), graph::kNoParent);
-    }
+    for (const std::uint32_t i : owned_.of(v)) store(v, i, graph::kNoParent);
   }
 
   const graph::SpanningTree* tree_;
   std::unique_ptr<sim::TopologyView> topo_;  // liveness only; may be null
   std::size_t k_;
-  std::vector<std::vector<std::size_t>> owned_;
+  OwnedIndex owned_;  // node -> initially owned messages
   std::vector<std::vector<char>> has_;
   std::vector<std::vector<std::uint32_t>> up_queue_;   // v -> parent(v)
   std::vector<std::size_t> up_cursor_;

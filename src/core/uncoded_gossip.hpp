@@ -47,7 +47,7 @@ class UncodedGossip
         topo_(std::move(topo)),
         cfg_(cfg),
         k_(placement.message_count()),
-        owned_(placement.by_node(topo_->node_count())),
+        owned_(placement.owned_index(topo_->node_count())),
         known_(topo_->node_count()),
         has_(topo_->node_count()),
         selector_(*topo_) {
@@ -125,9 +125,9 @@ class UncodedGossip
     if (known_[v].size() == k_) --complete_;
     has_[v].assign(k_, 0);
     known_[v].clear();
-    for (const std::size_t i : owned_[v]) {
+    for (const std::uint32_t i : owned_.of(v)) {
       has_[v][i] = 1;
-      known_[v].push_back(static_cast<std::uint32_t>(i));
+      known_[v].push_back(i);
     }
     if (known_[v].size() == k_) ++complete_;
   }
@@ -135,7 +135,7 @@ class UncodedGossip
   std::unique_ptr<sim::TopologyView> topo_;
   UncodedConfig cfg_;
   std::size_t k_;
-  std::vector<std::vector<std::size_t>> owned_;
+  OwnedIndex owned_;  // node -> initially owned messages
   std::vector<std::vector<std::uint32_t>> known_;
   std::vector<std::vector<char>> has_;
   sim::UniformSelector selector_;

@@ -65,7 +65,6 @@ inline std::optional<std::vector<std::uint8_t>> corrupt_frame(
     std::span<const std::uint8_t> frame, CorruptionFamily family) {
   WireHeader h;
   if (read_header(frame, h) != DecodeStatus::Ok) return std::nullopt;
-  const std::size_t hdr = header_bytes(h.version);
   std::vector<std::uint8_t> out(frame.begin(), frame.end());
   switch (family) {
     case CorruptionFamily::Truncate:
@@ -95,31 +94,19 @@ inline std::optional<std::vector<std::uint8_t>> corrupt_frame(
       return out;
     case CorruptionFamily::DirtySymbol: {
       switch (h.field) {
-        case WireField::Gf2Bit:
-        case WireField::Gf2: {
+        case WireField::Gf2Bit: {
           // Nonzero spare bit above k in the last coefficient byte.
-          if (h.k % 8 != 0) {
-            const std::size_t last = hdr + detail::bit_bytes(h.k) - 1;
-            if (last >= out.size()) return std::nullopt;
-            out[last] = static_cast<std::uint8_t>(out[last] | (1u << (h.k % 8)));
-            return out;
-          }
-          // Dense GF(2) payloads are bit-packed too; dirty their spare bits.
-          if (h.field == WireField::Gf2 && h.payload_len % 8 != 0) {
-            const std::size_t last = hdr + detail::bit_bytes(h.k) +
-                                     detail::bit_bytes(h.payload_len) - 1;
-            if (last >= out.size()) return std::nullopt;
-            out[last] =
-                static_cast<std::uint8_t>(out[last] | (1u << (h.payload_len % 8)));
-            return out;
-          }
-          return std::nullopt;
+          if (h.k % 8 == 0) return std::nullopt;
+          const std::size_t last = kHeaderBytes + detail::bit_bytes(h.k) - 1;
+          if (last >= out.size()) return std::nullopt;
+          out[last] = static_cast<std::uint8_t>(out[last] | (1u << (h.k % 8)));
+          return out;
         }
         case WireField::Gf16:
           // One byte per symbol, only the low nibble is a field element.
           if (h.k == 0 && h.payload_len == 0) return std::nullopt;
-          if (hdr >= out.size()) return std::nullopt;
-          out[hdr] = 0xFF;
+          if (kHeaderBytes >= out.size()) return std::nullopt;
+          out[kHeaderBytes] = 0xFF;
           return out;
         default:
           // GF(256)/GF(65536) symbols fill their carrier: every byte

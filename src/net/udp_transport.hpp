@@ -2,7 +2,7 @@
 /// UdpTransport: coded frames over real nonblocking UDP sockets.
 ///
 /// One UdpSocketSet socket per locally hosted node; every send serializes
-/// the packet through the versioned wire format (net/wire.hpp) and every
+/// the packet through the wire format (net/wire.hpp) and every
 /// received datagram is decode-verified before the driver sees it -- a
 /// malformed or shape-mismatched frame increments stats().decode_failures
 /// and is dropped, never delivered and never fatal.  Sender identity comes
@@ -59,7 +59,7 @@ class UdpTransport {
     }
   }
 
-  /// Sends a coded frame tagged with a wire-v2 generation id.
+  /// Sends a coded frame tagged with a wire-header generation id.
   void send_generation(NodeId from, NodeId to, std::uint32_t generation,
                        const Msg& msg) {
     ++stats_.messages_sent;

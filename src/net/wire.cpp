@@ -1,12 +1,13 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+
 namespace ag::net {
 
 std::string_view to_string(WireField f) noexcept {
   switch (f) {
     case WireField::Control: return "control";
     case WireField::Gf2Bit: return "gf2-bit";
-    case WireField::Gf2: return "gf2";
     case WireField::Gf16: return "gf16";
     case WireField::Gf256: return "gf256";
     case WireField::Gf65536: return "gf65536";
@@ -31,49 +32,42 @@ std::string_view to_string(DecodeStatus s) noexcept {
 
 DecodeStatus read_header(std::span<const std::uint8_t> frame, WireHeader& out,
                          const WireLimits& limits) noexcept {
-  if (frame.size() < kHeaderBytesV1) return DecodeStatus::Truncated;
+  if (frame.size() < kHeaderBytes) return DecodeStatus::Truncated;
   if (frame[0] != kWireMagic0 || frame[1] != kWireMagic1) return DecodeStatus::BadMagic;
-  if (frame[2] != kWireVersionV1 && frame[2] != kWireVersion)
-    return DecodeStatus::BadVersion;
-  out.version = frame[2];
-  if (frame.size() < header_bytes(out.version)) return DecodeStatus::Truncated;
-  if (frame[3] > static_cast<std::uint8_t>(WireField::Gf65536))
+  if (frame[2] != kWireVersion) return DecodeStatus::BadVersion;
+  // Id 2 is retired (see WireField); ids above Gf65536 were never assigned.
+  if (frame[3] == 2 || frame[3] > static_cast<std::uint8_t>(WireField::Gf65536))
     return DecodeStatus::BadField;
   out.field = static_cast<WireField>(frame[3]);
   out.k = detail::get_u32(frame.data() + 4);
   out.payload_len = detail::get_u32(frame.data() + 8);
-  out.generation =
-      out.version == kWireVersionV1 ? 0u : detail::get_u32(frame.data() + 12);
+  out.generation = detail::get_u32(frame.data() + 12);
   if (out.k > limits.max_k || out.payload_len > limits.max_payload_len)
     return DecodeStatus::Oversized;
   return DecodeStatus::Ok;
 }
 
 void write_header(std::uint8_t* dst, const WireHeader& h) noexcept {
-  assert(h.version == kWireVersion || h.version == kWireVersionV1);
-  assert(h.version == kWireVersion || h.generation == 0);
   dst[0] = kWireMagic0;
   dst[1] = kWireMagic1;
-  dst[2] = h.version;
+  dst[2] = kWireVersion;
   dst[3] = static_cast<std::uint8_t>(h.field);
   detail::put_u32(dst + 4, h.k);
   detail::put_u32(dst + 8, h.payload_len);
-  if (h.version != kWireVersionV1) detail::put_u32(dst + 12, h.generation);
+  detail::put_u32(dst + 12, h.generation);
 }
 
 std::size_t encode_control(const ControlFrame& f, std::vector<std::uint8_t>& out,
-                           std::uint32_t generation, std::uint8_t version) {
-  const std::size_t head = header_bytes(version);
-  const std::size_t total = head + f.data.size();
+                           std::uint32_t generation) {
+  const std::size_t total = kHeaderBytes + f.data.size();
   out.resize(total);
   WireHeader h;
   h.field = WireField::Control;
   h.k = f.sender;
   h.payload_len = static_cast<std::uint32_t>(f.data.size());
   h.generation = generation;
-  h.version = version;
   write_header(out.data(), h);
-  std::memcpy(out.data() + head, f.data.data(), f.data.size());
+  std::copy(f.data.begin(), f.data.end(), out.begin() + kHeaderBytes);
   return total;
 }
 
@@ -82,12 +76,11 @@ DecodeStatus decode_control(std::span<const std::uint8_t> frame, ControlFrame& o
   const DecodeStatus st = read_header(frame, hdr, limits);
   if (st != DecodeStatus::Ok) return st;
   if (hdr.field != WireField::Control) return DecodeStatus::BadField;
-  const std::size_t head = header_bytes(hdr.version);
-  const std::size_t want = head + hdr.payload_len;
+  const std::size_t want = kHeaderBytes + hdr.payload_len;
   if (frame.size() < want) return DecodeStatus::Truncated;
   if (frame.size() > want) return DecodeStatus::TrailingBytes;
   out.sender = hdr.k;
-  out.data.assign(frame.begin() + static_cast<std::ptrdiff_t>(head), frame.end());
+  out.data.assign(frame.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes), frame.end());
   return DecodeStatus::Ok;
 }
 

@@ -1,29 +1,26 @@
 /// \file
-/// Versioned wire format for coded gossip packets.
+/// Wire format for coded gossip packets.
 ///
 /// Every datagram the socket transports exchange is one frame:
 ///
 /// ```
 ///   offset  size  field
 ///   0       2     magic        "AG" (0x41 0x47)
-///   2       1     version      kWireVersion (currently 2; 1 still decodes)
+///   2       1     version      kWireVersion (2; any other value is rejected)
 ///   3       1     field id     WireField (which packet encoding follows)
 ///   4       4     k            coefficient count, u32 little-endian
 ///   8       4     payload_len  payload symbol count, u32 little-endian
-///   12      4     generation   generation id, u32 little-endian (v2 only)
-///   12/16   ...   coefficients (layout per field, below)
+///   12      4     generation   generation id, u32 little-endian
+///   16      ...   coefficients (layout per field, below)
 ///   ...     ...   payload      (layout per field, below)
 /// ```
 ///
-/// Version 2 added the generation id for the sliding-window coding layer
+/// The generation id serves the sliding-window coding layer
 /// (`src/coding/`): a frame's coefficients are relative to one generation's
 /// message block, so the receiver must route it to that generation's
-/// decoder.  Version 1 frames (12-byte header, no generation field) still
-/// decode -- `read_header` reports them as `version == 1, generation == 0`.
-/// Canonical-encoding rule across versions: each (version, header,
-/// body) triple has exactly one byte representation, and re-encoding a
-/// decoded frame **with the version and generation the header reported**
-/// reproduces the input bytes.  Encoders default to v2.
+/// decoder.  One-shot traffic sends generation 0.  Each (header, body) pair
+/// has exactly one byte representation, and re-encoding a decoded frame
+/// with the generation its header reported reproduces the input bytes.
 ///
 /// Per-field body layout (all multi-byte integers little-endian):
 ///
@@ -31,7 +28,6 @@
 /// |----------|--------------------------|---------------------|----------------|
 /// | Control  | net::ControlFrame        | none (k = sender id)| 1 raw byte     |
 /// | Gf2Bit   | linalg::BitPacket        | ceil(k/8) bytes     | 8 bytes (word) |
-/// | Gf2      | DensePacket<gf::GF2>     | ceil(k/8) bytes     | 1 bit, packed  |
 /// | Gf16     | DensePacket<gf::GF16>    | 1 byte each (< 16)  | 1 byte (< 16)  |
 /// | Gf256    | DensePacket<gf::GF256>   | 1 byte each         | 1 byte         |
 /// | Gf65536  | DensePacket<gf::GF65536> | 2 bytes each        | 2 bytes        |
@@ -59,7 +55,6 @@
 #include <string_view>
 #include <vector>
 
-#include "gf/gf2.hpp"
 #include "gf/gf2m.hpp"
 #include "linalg/bit_decoder.hpp"
 #include "linalg/dense_decoder.hpp"
@@ -68,22 +63,15 @@ namespace ag::net {
 
 inline constexpr std::uint8_t kWireMagic0 = 0x41;  // 'A'
 inline constexpr std::uint8_t kWireMagic1 = 0x47;  // 'G'
-inline constexpr std::uint8_t kWireVersionV1 = 1;
 inline constexpr std::uint8_t kWireVersion = 2;
-inline constexpr std::size_t kHeaderBytesV1 = 12;
 inline constexpr std::size_t kHeaderBytes = 16;
 
-/// Header size for a given wire version (v1 frames have no generation
-/// field).  Callers must only pass versions read_header accepts.
-inline constexpr std::size_t header_bytes(std::uint8_t version) noexcept {
-  return version == kWireVersionV1 ? kHeaderBytesV1 : kHeaderBytes;
-}
-
-/// Which packet encoding a frame's body carries.
+/// Which packet encoding a frame's body carries.  Id 2 is unassigned: it
+/// was a byte-per-symbol GF(2) encoding that duplicated Gf2Bit, and reading
+/// it now returns BadField rather than giving the id a new meaning.
 enum class WireField : std::uint8_t {
   Control = 0,  ///< transport/driver control frame (k = sender node id)
   Gf2Bit = 1,   ///< linalg::BitPacket (word-packed GF(2))
-  Gf2 = 2,      ///< linalg::DensePacket<gf::GF2>
   Gf16 = 3,     ///< linalg::DensePacket<gf::GF16>
   Gf256 = 4,    ///< linalg::DensePacket<gf::GF256>
   Gf65536 = 5,  ///< linalg::DensePacket<gf::GF65536>
@@ -95,8 +83,8 @@ enum class DecodeStatus : std::uint8_t {
   Ok = 0,
   Truncated,      ///< frame shorter than the header or the declared body
   BadMagic,       ///< first two bytes are not "AG"
-  BadVersion,     ///< version byte is neither kWireVersionV1 nor kWireVersion
-  BadField,       ///< unknown field id, or id != the expected packet type
+  BadVersion,     ///< version byte is not kWireVersion
+  BadField,       ///< unassigned field id, or id != the expected packet type
   Oversized,      ///< k or payload_len exceeds WireLimits
   Mismatch,       ///< k/payload_len disagree with the receiving decoder's
   BadSymbol,      ///< symbol out of field range / nonzero GF(2) spare bits
@@ -119,20 +107,15 @@ struct WireHeader {
   WireField field = WireField::Control;
   std::uint32_t k = 0;
   std::uint32_t payload_len = 0;
-  std::uint32_t generation = 0;            ///< v2 only; 0 for decoded v1 frames
-  std::uint8_t version = kWireVersion;     ///< which header layout was read/written
+  std::uint32_t generation = 0;
 };
 
 /// Parses and validates magic/version/field/limits.  On Ok, `out` holds the
-/// header (including the version it was read under and the generation id,
-/// which is 0 for v1 frames) and the caller may trust its counts up to the
-/// limits.
+/// header and the caller may trust its counts up to the limits.
 DecodeStatus read_header(std::span<const std::uint8_t> frame, WireHeader& out,
                          const WireLimits& limits = kDefaultLimits) noexcept;
 
-/// Writes the header at `dst` in the layout `h.version` selects (must have
-/// header_bytes(h.version) of room).  h.generation must be 0 when
-/// h.version == kWireVersionV1 -- v1 frames cannot carry one.
+/// Writes the header at `dst` (must have kHeaderBytes of room).
 void write_header(std::uint8_t* dst, const WireHeader& h) noexcept;
 
 namespace detail {
@@ -159,32 +142,6 @@ inline std::uint64_t get_u64(const std::uint8_t* p) noexcept {
 
 inline constexpr std::size_t bit_bytes(std::size_t nbits) noexcept {
   return (nbits + 7) / 8;
-}
-
-// Packs `n` 0/1 symbols into ceil(n/8) bytes, spare bits zero.
-template <typename V>
-void pack_bits(std::span<const V> sym, std::uint8_t* dst) {
-  const std::size_t nbytes = bit_bytes(sym.size());
-  std::memset(dst, 0, nbytes);
-  for (std::size_t i = 0; i < sym.size(); ++i) {
-    if (sym[i] != 0) dst[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  }
-}
-
-// Unpacks `n` bits into 0/1 symbols; rejects nonzero spare bits (canonical
-// encoding contract).
-template <typename V>
-DecodeStatus unpack_bits(const std::uint8_t* src, std::size_t n, std::vector<V>& out) {
-  out.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<V>((src[i / 8] >> (i % 8)) & 1u);
-  }
-  if (n % 8 != 0) {
-    const std::uint8_t spare =
-        static_cast<std::uint8_t>(src[n / 8] >> (n % 8));
-    if (spare != 0) return DecodeStatus::BadSymbol;
-  }
-  return DecodeStatus::Ok;
 }
 
 // Packs k word-packed GF(2) coefficient bits (BitPacket layout) into
@@ -260,30 +217,6 @@ struct WireCodec<linalg::BitPacket> {
   }
 };
 
-template <>
-struct WireCodec<linalg::DensePacket<gf::GF2>> {
-  static constexpr WireField field = WireField::Gf2;
-  static std::size_t coeff_bytes(std::size_t k) noexcept { return detail::bit_bytes(k); }
-  static std::size_t payload_bytes(std::size_t len) noexcept { return detail::bit_bytes(len); }
-
-  static void put_body(const linalg::DensePacket<gf::GF2>& pkt, std::size_t k,
-                       std::size_t payload_len, std::uint8_t* dst) {
-    assert(pkt.coeffs.size() == k);
-    assert(pkt.payload.size() == payload_len);
-    (void)payload_len;
-    detail::pack_bits(std::span<const std::uint8_t>(pkt.coeffs), dst);
-    detail::pack_bits(std::span<const std::uint8_t>(pkt.payload), dst + coeff_bytes(k));
-  }
-
-  static DecodeStatus get_body(const std::uint8_t* src, std::size_t k,
-                               std::size_t payload_len,
-                               linalg::DensePacket<gf::GF2>& out) {
-    DecodeStatus st = detail::unpack_bits(src, k, out.coeffs);
-    if (st != DecodeStatus::Ok) return st;
-    return detail::unpack_bits(src + coeff_bytes(k), payload_len, out.payload);
-  }
-};
-
 namespace detail {
 
 // Shared codec for the byte/short symbol fields: one little-endian
@@ -356,12 +289,10 @@ template <>
 struct WireCodec<linalg::DensePacket<gf::GF65536>>
     : detail::DenseCodec<gf::GF65536, WireField::Gf65536> {};
 
-/// Frame size for a (field, k, payload_len) triple of packet type P under a
-/// given wire version (v1 headers are 4 bytes shorter).
+/// Frame size for a (field, k, payload_len) triple of packet type P.
 template <typename P>
-std::size_t encoded_size(std::size_t k, std::size_t payload_len,
-                         std::uint8_t version = kWireVersion) noexcept {
-  return header_bytes(version) + WireCodec<P>::coeff_bytes(k) +
+std::size_t encoded_size(std::size_t k, std::size_t payload_len) noexcept {
+  return kHeaderBytes + WireCodec<P>::coeff_bytes(k) +
          WireCodec<P>::payload_bytes(payload_len);
 }
 
@@ -369,24 +300,20 @@ std::size_t encoded_size(std::size_t k, std::size_t payload_len,
 /// capacity.  Returns the frame size.  The payload length is taken from the
 /// packet itself (decoders always emit full-length payloads).  `generation`
 /// tags the frame for the sliding-window coding layer; one-shot callers
-/// leave it 0.  `version` selects the header layout -- kWireVersionV1
-/// requires generation == 0 (v1 frames have no generation field).
+/// leave it 0.
 template <typename P>
 std::size_t encode_into(const P& pkt, std::size_t k, std::vector<std::uint8_t>& out,
-                        std::uint32_t generation = 0,
-                        std::uint8_t version = kWireVersion) {
-  assert(version == kWireVersion || generation == 0);
+                        std::uint32_t generation = 0) {
   const std::size_t payload_len = pkt.payload.size();
-  const std::size_t total = encoded_size<P>(k, payload_len, version);
+  const std::size_t total = encoded_size<P>(k, payload_len);
   out.resize(total);
   WireHeader h;
   h.field = WireCodec<P>::field;
   h.k = static_cast<std::uint32_t>(k);
   h.payload_len = static_cast<std::uint32_t>(payload_len);
   h.generation = generation;
-  h.version = version;
   write_header(out.data(), h);
-  WireCodec<P>::put_body(pkt, k, payload_len, out.data() + header_bytes(version));
+  WireCodec<P>::put_body(pkt, k, payload_len, out.data() + kHeaderBytes);
   return total;
 }
 
@@ -396,7 +323,7 @@ std::size_t encode_into(const P& pkt, std::size_t k, std::vector<std::uint8_t>& 
 /// (DecodeStatus::Mismatch otherwise) -- a wire peer speaking a different
 /// generation/config must not be able to corrupt local decoder state.
 /// On Ok, `hdr` holds the parsed header; `hdr.generation` tells the caller
-/// which generation's decoder the packet belongs to (0 for v1 frames).
+/// which generation's decoder the packet belongs to.
 template <typename P>
 DecodeStatus decode_into(std::span<const std::uint8_t> frame, std::size_t expect_k,
                          std::size_t expect_payload_len, P& pkt, WireHeader& hdr,
@@ -406,11 +333,11 @@ DecodeStatus decode_into(std::span<const std::uint8_t> frame, std::size_t expect
   if (hdr.field != WireCodec<P>::field) return DecodeStatus::BadField;
   if (hdr.k != expect_k || hdr.payload_len != expect_payload_len)
     return DecodeStatus::Mismatch;
-  const std::size_t want = encoded_size<P>(hdr.k, hdr.payload_len, hdr.version);
+  const std::size_t want = encoded_size<P>(hdr.k, hdr.payload_len);
   if (frame.size() < want) return DecodeStatus::Truncated;
   if (frame.size() > want) return DecodeStatus::TrailingBytes;
-  return WireCodec<P>::get_body(frame.data() + header_bytes(hdr.version), hdr.k,
-                                hdr.payload_len, pkt);
+  return WireCodec<P>::get_body(frame.data() + kHeaderBytes, hdr.k, hdr.payload_len,
+                                pkt);
 }
 
 /// decode_into for callers that do not care about the generation id.
@@ -431,8 +358,7 @@ struct ControlFrame {
 };
 
 std::size_t encode_control(const ControlFrame& f, std::vector<std::uint8_t>& out,
-                           std::uint32_t generation = 0,
-                           std::uint8_t version = kWireVersion);
+                           std::uint32_t generation = 0);
 DecodeStatus decode_control(std::span<const std::uint8_t> frame, ControlFrame& out,
                             WireHeader& hdr,
                             const WireLimits& limits = kDefaultLimits);

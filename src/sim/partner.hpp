@@ -12,8 +12,6 @@
 //                        cursor indexes the CURRENT list (mod its size), so
 //                        on a static topology the schedule is exactly the
 //                        fixed cyclic one.
-//   FixedParentSelector: partner permanently fixed to the node's tree parent
-//                        (TAG Phase 2 / Lemma 1).
 //
 // Callers must skip nodes with no usable neighbor (degree 0 this round);
 // pick() requires a non-empty neighbor list.
@@ -22,7 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/spanning_tree.hpp"
 #include "sim/rng.hpp"
 #include "sim/topology.hpp"
 
@@ -67,17 +64,6 @@ class RoundRobinSelector {
  private:
   const TopologyView* t_;
   std::vector<std::uint64_t> next_;
-};
-
-class FixedParentSelector {
- public:
-  explicit FixedParentSelector(const graph::SpanningTree& t) : tree_(&t) {}
-
-  // Returns kNoParent for the root; callers must skip the transaction.
-  NodeId pick(NodeId v, Rng& /*rng*/) const { return tree_->parent(v); }
-
- private:
-  const graph::SpanningTree* tree_;
 };
 
 }  // namespace ag::sim

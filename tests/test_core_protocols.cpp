@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "core/decoders.hpp"
 #include "core/dissemination.hpp"
@@ -35,8 +37,29 @@ TEST(PlacementTest, AllToAll) {
   const auto p = all_to_all(5);
   EXPECT_EQ(p.message_count(), 5u);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(p.owner[i], i);
-  const auto by = p.by_node(5);
-  for (const auto& msgs : by) EXPECT_EQ(msgs.size(), 1u);
+  const OwnedIndex idx = p.owned_index(5);
+  for (NodeId v = 0; v < 5; ++v) {
+    ASSERT_EQ(idx.of(v).size(), 1u);
+    EXPECT_EQ(idx.of(v)[0], v);
+  }
+
+  // Repeated owners: each node's span is ascending, and the spans together
+  // list every message exactly once.
+  sim::Rng rng(3);
+  const std::size_t n = 6, k = 40;
+  const auto q = uniform_with_repetition(k, n, rng);
+  const OwnedIndex rep = q.owned_index(n);
+  std::vector<std::uint32_t> all;
+  for (NodeId v = 0; v < n; ++v) {
+    const auto span = rep.of(v);
+    EXPECT_TRUE(std::is_sorted(span.begin(), span.end())) << "node " << v;
+    for (const std::uint32_t i : span) EXPECT_EQ(q.owner[i], v);
+    all.insert(all.end(), span.begin(), span.end());
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<std::uint32_t> expect(k);
+  std::iota(expect.begin(), expect.end(), 0u);
+  EXPECT_EQ(all, expect);
 }
 
 TEST(PlacementTest, UniformDistinctHasDistinctOwners) {

@@ -255,7 +255,7 @@ TEST(DifferentialDecoder, DenseGf256LongPayloadAgainstOracle) {
 // --- BitDecoder vs DenseDecoder<GF2> ----------------------------------------
 
 // Converts a GF(2) symbol vector to the packed word representation.
-std::vector<std::uint64_t> pack_bits(const std::vector<std::uint8_t>& bits) {
+std::vector<std::uint64_t> to_words(const std::vector<std::uint8_t>& bits) {
   std::vector<std::uint64_t> words((bits.size() + 63) / 64, 0);
   for (std::size_t i = 0; i < bits.size(); ++i) {
     if (bits[i]) words[i / 64] |= std::uint64_t{1} << (i % 64);
@@ -287,7 +287,7 @@ TEST(DifferentialDecoder, BitDecoderMatchesDenseGf2OnRandomStreams) {
           c[i] = static_cast<std::uint8_t>(util::uniform_below(rng, 2));
         }
       }
-      const auto packed = pack_bits(c);
+      const auto packed = to_words(c);
       ASSERT_EQ(dense.contains(c), bit.contains(packed)) << "k=" << k;
       linalg::DensePacket<gf::GF2> dp;
       dp.coeffs = c;
@@ -317,7 +317,7 @@ void run_bit_differential(std::uint64_t seed, std::size_t k, std::size_t payload
   }
   auto packet_for_bits = [&](const std::vector<std::uint8_t>& c) {
     linalg::BitPacket p;
-    p.coeffs = pack_bits(c);
+    p.coeffs = to_words(c);
     p.payload.assign(payload_words, 0);
     for (std::size_t i = 0; i < k; ++i) {
       if (c[i] == 0) continue;
@@ -345,7 +345,7 @@ void run_bit_differential(std::uint64_t seed, std::size_t k, std::size_t payload
           ASSERT_EQ(bits[pivot[q]], 0) << "row " << r << " step " << step;
         }
       }
-      ASSERT_EQ(pack_bits(bits), std::vector<std::uint64_t>(c.begin(), c.end()))
+      ASSERT_EQ(to_words(bits), std::vector<std::uint64_t>(c.begin(), c.end()))
           << "bits above k in row " << r << " step " << step;
       const auto want = packet_for_bits(bits).payload;
       const auto got = d.stored_payload_row(r);
@@ -432,8 +432,8 @@ TEST(DifferentialDecoder, BitDecoderAndDenseGf2DecodeSamePayloads) {
     dp.coeffs[i] = 1;
     dp.payload = truth[i];
     linalg::BitPacket bp;
-    bp.coeffs = pack_bits(dp.coeffs);
-    bp.payload = pack_bits(truth[i]);
+    bp.coeffs = to_words(dp.coeffs);
+    bp.payload = to_words(truth[i]);
     // Feed the same random combinations by construction: combine a random
     // subset of units plus this unit so both decoders see identical streams.
     dense.insert(dp);

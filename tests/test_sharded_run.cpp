@@ -250,6 +250,39 @@ TEST(ShardedRun, DiscardSameSenderFilterMatchesSerial) {
   EXPECT_LT(ref.delivered, ref.sent);  // the filter actually discarded
 }
 
+TEST(ShardedRun, VerifyInsertsArmsTheHookWithoutChangingTheRun) {
+  // AgConfig::verify_inserts must reach the swarm like it does for the
+  // classic engine; on honest traffic the hook rejects nothing, so stopping
+  // and finish rounds equal the unverified run at every shard count.
+  const std::size_t n = 24, k = 8;
+  const core::Placement pl = fixed_placement(k, n, 0x5EED0A);
+  auto make = [&] {
+    return std::unique_ptr<sim::TopologyView>(new sim::CompleteTopology(n));
+  };
+  const core::AgConfig plain;
+  core::AgConfig verified;
+  verified.verify_inserts = true;
+  const Snapshot ref =
+      run_one<core::Gf2Decoder, core::VectorNodeStore<core::Gf2Decoder>>(
+          make, pl, plain, 0x5AFE, 1);
+  ASSERT_TRUE(ref.completed);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    core::ShardedUniformAG<core::Gf2Decoder> proto(make(), pl, verified, 0x5AFE,
+                                                   /*run=*/0, shards);
+    EXPECT_TRUE(proto.swarm().verification_enabled());
+    const sim::RunResult res = proto.run(kBudget);
+    ASSERT_TRUE(res.completed);
+    EXPECT_EQ(res.rounds, ref.rounds);
+    for (std::size_t v = 0; v < n; ++v) {
+      EXPECT_EQ(proto.swarm().finish_round(static_cast<graph::NodeId>(v)),
+                ref.finish[v])
+          << "node " << v;
+    }
+    EXPECT_EQ(proto.swarm().malformed_receives(), 0u);
+  }
+}
+
 TEST(ShardedRun, CodingAblationsMatchSerial) {
   const std::size_t n = 32, k = 8;
   const core::Placement pl = fixed_placement(k, n, 0x5EED06);

@@ -170,18 +170,6 @@ TEST(SelectorTest, RoundRobinCyclesThroughAllNeighborsInDegreeSteps) {
   EXPECT_EQ(first_cycle, second_cycle);
 }
 
-TEST(SelectorTest, FixedParentReturnsParent) {
-  graph::SpanningTree t(3);
-  t.set_root(0);
-  t.set_parent(1, 0);
-  t.set_parent(2, 1);
-  sim::FixedParentSelector sel(t);
-  sim::Rng rng(1);
-  EXPECT_EQ(sel.pick(2, rng), 1u);
-  EXPECT_EQ(sel.pick(1, rng), 0u);
-  EXPECT_EQ(sel.pick(0, rng), graph::kNoParent);
-}
-
 // --- Probe protocols for engine semantics ----------------------------------
 
 // Token-passing probe: node 0 starts with a token; on activation each token

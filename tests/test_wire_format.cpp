@@ -17,7 +17,6 @@ using namespace ag;
 using net::DecodeStatus;
 using net::WireField;
 
-using Gf2Pkt = linalg::DensePacket<gf::GF2>;
 using Gf16Pkt = linalg::DensePacket<gf::GF16>;
 using Gf256Pkt = linalg::DensePacket<gf::GF256>;
 using Gf64kPkt = linalg::DensePacket<gf::GF65536>;
@@ -54,35 +53,33 @@ linalg::BitPacket random_bit(std::size_t k, std::size_t words, sim::Rng& rng) {
 
 template <typename P>
 void expect_roundtrip_at(const P& pkt, std::size_t k, std::size_t len,
-                         std::uint32_t generation, std::uint8_t version) {
+                         std::uint32_t generation) {
   std::vector<std::uint8_t> frame;
-  const std::size_t n = net::encode_into(pkt, k, frame, generation, version);
+  const std::size_t n = net::encode_into(pkt, k, frame, generation);
   ASSERT_EQ(n, frame.size());
-  ASSERT_EQ(n, net::encoded_size<P>(k, len, version));
+  ASSERT_EQ(n, net::encoded_size<P>(k, len));
 
   P out;
   net::WireHeader hdr;
   ASSERT_EQ(net::decode_into(std::span<const std::uint8_t>(frame), k, len, out, hdr),
             DecodeStatus::Ok)
-      << "k=" << k << " len=" << len << " v=" << int(version);
+      << "k=" << k << " len=" << len << " gen=" << generation;
   EXPECT_EQ(out.coeffs, pkt.coeffs);
   EXPECT_EQ(out.payload, pkt.payload);
-  EXPECT_EQ(hdr.version, version);
   EXPECT_EQ(hdr.generation, generation);
 
-  // Canonical encoding: re-encoding the decoded packet at the version and
-  // generation the header reported must reproduce the exact bytes (one
-  // encoding per packet -- what lets spare-bit checks work).
+  // Canonical encoding: re-encoding the decoded packet with the generation
+  // the header reported must reproduce the exact bytes (one encoding per
+  // packet -- what lets spare-bit checks work).
   std::vector<std::uint8_t> again;
-  net::encode_into(out, k, again, hdr.generation, hdr.version);
+  net::encode_into(out, k, again, hdr.generation);
   EXPECT_EQ(again, frame);
 }
 
 template <typename P>
 void expect_roundtrip(const P& pkt, std::size_t k, std::size_t len) {
-  expect_roundtrip_at(pkt, k, len, 0, net::kWireVersion);           // v2 default
-  expect_roundtrip_at(pkt, k, len, 0xdead00ffu, net::kWireVersion); // v2 + generation
-  expect_roundtrip_at(pkt, k, len, 0, net::kWireVersionV1);         // legacy v1
+  expect_roundtrip_at(pkt, k, len, 0);            // one-shot default
+  expect_roundtrip_at(pkt, k, len, 0xdead00ffu);  // nonzero generation
 }
 
 TEST(WireFormat, RoundTripFuzzAllFieldsAcrossShapeGrid) {
@@ -90,7 +87,6 @@ TEST(WireFormat, RoundTripFuzzAllFieldsAcrossShapeGrid) {
   for (const std::size_t k : kKs) {
     for (const std::size_t len : kLens) {
       expect_roundtrip(random_bit(k, len, rng), k, len);
-      expect_roundtrip(random_dense<gf::GF2>(k, len, rng), k, len);
       expect_roundtrip(random_dense<gf::GF16>(k, len, rng), k, len);
       expect_roundtrip(random_dense<gf::GF256>(k, len, rng), k, len);
       expect_roundtrip(random_dense<gf::GF65536>(k, len, rng), k, len);
@@ -116,22 +112,6 @@ TEST(WireFormat, HeaderLayoutIsExactlyAsDocumented) {
   EXPECT_EQ(f[14], 3u);
   EXPECT_EQ(f[15], 4u);
   EXPECT_EQ(f.size(), net::kHeaderBytes + 3 + 2);
-}
-
-TEST(WireFormat, V1HeaderLayoutIsExactlyAsDocumented) {
-  sim::Rng rng(7);
-  const auto pkt = random_dense<gf::GF256>(3, 2, rng);
-  std::vector<std::uint8_t> f;
-  net::encode_into(pkt, 3, f, 0, net::kWireVersionV1);
-  EXPECT_EQ(f[2], net::kWireVersionV1);
-  EXPECT_EQ(f.size(), net::kHeaderBytesV1 + 3 + 2);  // no generation field
-
-  net::WireHeader hdr;
-  Gf256Pkt out;
-  ASSERT_EQ(net::decode_into(std::span<const std::uint8_t>(f), 3, 2, out, hdr),
-            DecodeStatus::Ok);
-  EXPECT_EQ(hdr.version, net::kWireVersionV1);
-  EXPECT_EQ(hdr.generation, 0u);
 }
 
 // --- malformed-frame corpus ------------------------------------------------
@@ -172,32 +152,19 @@ TEST(WireFormat, BadMagicVersionAndFieldRejected) {
   f[2] = 0;
   EXPECT_EQ(try_decode(f), DecodeStatus::BadVersion);
   f = good_frame();
+  f[2] = 1;  // the retired 12-byte header layout
+  EXPECT_EQ(try_decode(f), DecodeStatus::BadVersion);
+  f = good_frame();
+  f[3] = 2;  // the retired dense GF(2) encoding
+  EXPECT_EQ(try_decode(f), DecodeStatus::BadField);
+  net::WireHeader hdr;
+  EXPECT_EQ(net::read_header(f, hdr), DecodeStatus::BadField);
+  f = good_frame();
   f[3] = 6;  // first unassigned field id
   EXPECT_EQ(try_decode(f), DecodeStatus::BadField);
   f = good_frame();
   f[3] = 0xff;
   EXPECT_EQ(try_decode(f), DecodeStatus::BadField);
-}
-
-TEST(WireFormat, V1TruncationAtEveryBoundaryRejectsCleanly) {
-  sim::Rng rng(42);
-  const auto pkt = random_dense<gf::GF256>(5, 4, rng);
-  std::vector<std::uint8_t> f;
-  net::encode_into(pkt, 5, f, 0, net::kWireVersionV1);
-  for (std::size_t cut = 0; cut < f.size(); ++cut) {
-    const std::vector<std::uint8_t> t(f.begin(), f.begin() + cut);
-    EXPECT_EQ(try_decode(t), DecodeStatus::Truncated) << "cut=" << cut;
-  }
-}
-
-TEST(WireFormat, V2TruncatedInsideGenerationFieldRejected) {
-  // A v2 header cut between the v1 header size and the v2 header size:
-  // magic/version are intact, but the generation field is incomplete.
-  const auto f = good_frame();
-  for (std::size_t cut = net::kHeaderBytesV1; cut < net::kHeaderBytes; ++cut) {
-    const std::vector<std::uint8_t> t(f.begin(), f.begin() + cut);
-    EXPECT_EQ(try_decode(t), DecodeStatus::Truncated) << "cut=" << cut;
-  }
 }
 
 TEST(WireFormat, GenerationIdDoesNotAffectShapeChecks) {
@@ -263,21 +230,12 @@ TEST(WireFormat, OutOfRangeGf16SymbolRejected) {
 TEST(WireFormat, NonzeroGf2SpareBitsRejected) {
   sim::Rng rng(6);
   // k = 5: three spare bits in the single coefficient byte.
-  const auto pkt = random_dense<gf::GF2>(5, 4, rng);
+  const auto pkt = random_bit(5, 2, rng);
   std::vector<std::uint8_t> f;
   net::encode_into(pkt, 5, f);
   f[net::kHeaderBytes] |= 0x80;
-  Gf2Pkt out;
-  EXPECT_EQ(net::decode_into(std::span<const std::uint8_t>(f), 5, 4, out),
-            DecodeStatus::BadSymbol);
-
-  // Same contract for the word-packed BitPacket encoding.
-  const auto bp = random_bit(5, 2, rng);
-  std::vector<std::uint8_t> bf;
-  net::encode_into(bp, 5, bf);
-  bf[net::kHeaderBytes] |= 0x80;
-  linalg::BitPacket bout;
-  EXPECT_EQ(net::decode_into(std::span<const std::uint8_t>(bf), 5, 2, bout),
+  linalg::BitPacket out;
+  EXPECT_EQ(net::decode_into(std::span<const std::uint8_t>(f), 5, 2, out),
             DecodeStatus::BadSymbol);
 }
 
@@ -309,28 +267,29 @@ TEST(WireFormat, ControlFrameV1AndGenerationRoundTrip) {
   net::ControlFrame in;
   in.sender = 9;
   in.data = {1, 2, 3};
-  std::vector<std::uint8_t> f;
-
-  // Legacy v1 control frames still decode, reporting generation 0.
-  net::encode_control(in, f, 0, net::kWireVersionV1);
-  ASSERT_EQ(f.size(), net::kHeaderBytesV1 + 3);
   net::ControlFrame out;
   net::WireHeader hdr;
-  ASSERT_EQ(net::decode_control(std::span<const std::uint8_t>(f), out, hdr),
-            DecodeStatus::Ok);
-  EXPECT_EQ(out.sender, 9u);
-  EXPECT_EQ(hdr.version, net::kWireVersionV1);
-  EXPECT_EQ(hdr.generation, 0u);
-  std::vector<std::uint8_t> again;
-  net::encode_control(out, again, hdr.generation, hdr.version);
-  EXPECT_EQ(again, f);
 
-  // v2 control frames carry the generation id through verbatim.
+  // Control frames in the retired 12-byte v1 layout (version byte 1, no
+  // generation field) are rejected: Truncated while shorter than a v2
+  // header, BadVersion from there on.
+  std::vector<std::uint8_t> v1 = {0x41, 0x47, 1, 0, 9, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3};
+  EXPECT_EQ(net::decode_control(std::span<const std::uint8_t>(v1), out, hdr),
+            DecodeStatus::Truncated);
+  v1[8] = 4;
+  v1.push_back(4);
+  EXPECT_EQ(net::decode_control(std::span<const std::uint8_t>(v1), out, hdr),
+            DecodeStatus::BadVersion);
+
+  // Control frames carry the generation id through verbatim.
+  std::vector<std::uint8_t> f;
   net::encode_control(in, f, 77);
   ASSERT_EQ(net::decode_control(std::span<const std::uint8_t>(f), out, hdr),
             DecodeStatus::Ok);
+  EXPECT_EQ(out.sender, 9u);
   EXPECT_EQ(hdr.generation, 77u);
-  net::encode_control(out, again, hdr.generation, hdr.version);
+  std::vector<std::uint8_t> again;
+  net::encode_control(out, again, hdr.generation);
   EXPECT_EQ(again, f);
 }
 
