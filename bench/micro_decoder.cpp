@@ -10,7 +10,10 @@
 // k = 16, 1 KiB payloads): one recoded packet, and an insert that is helpful
 // (the mean over a fill from rank 0 to 16), dependent (at rank 8) or into a
 // full-rank decoder.  The combination benches reuse one output packet, as
-// the engines do.
+// the engines do.  BM_StreamCombineCoeffs and BM_StreamInsertFromSender* are
+// the payload-on-demand pair the streaming swarm runs instead: the
+// coefficients alone, then an insert that builds the payload from the
+// sender's rows only for a helpful packet.
 //
 // AG_BENCH_JSON=<path> writes google-benchmark's JSON report to <path>, same
 // knob as the table harnesses.
@@ -209,6 +212,55 @@ void BM_StreamInsertFullRank(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StreamInsertFullRank);
+
+void BM_StreamCombineCoeffs(benchmark::State& state) {
+  ag::sim::Rng rng(15);
+  const DenseDecoder<GF256> d = stream_decoder(kStreamK, rng);
+  std::vector<std::uint8_t> coeffs;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.random_coefficients_into(rng, coeffs));
+    benchmark::DoNotOptimize(coeffs.data());
+  }
+}
+BENCHMARK(BM_StreamCombineCoeffs);
+
+// `count` coefficient-only combinations of `src`'s rows.
+std::vector<std::vector<std::uint8_t>> stream_coeffs(const DenseDecoder<GF256>& src,
+                                                     std::size_t count, ag::sim::Rng& rng) {
+  std::vector<std::vector<std::uint8_t>> out(count);
+  for (auto& c : out) src.random_coefficients_into(rng, c);
+  return out;
+}
+
+// BM_StreamInsertHelpful's fill, each payload built from the sender's rows.
+void BM_StreamInsertFromSenderHelpful(benchmark::State& state) {
+  ag::sim::Rng rng(16);
+  const DenseDecoder<GF256> sender = stream_decoder(kStreamK, rng);
+  const auto coeffs = stream_coeffs(sender, kStreamK, rng);
+  DenseDecoder<GF256> d(kStreamK, kStreamPayload);
+  for (auto _ : state) {
+    d.clear();
+    for (const auto& c : coeffs) d.insert_from(c, sender);
+    if (!d.full_rank()) state.SkipWithError("stream packets were not independent");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kStreamK));
+}
+BENCHMARK(BM_StreamInsertFromSenderHelpful);
+
+// BM_StreamInsertDependentRank8 from another node holding the same rows:
+// rejected before any payload is read.
+void BM_StreamInsertFromSenderDependentRank8(benchmark::State& state) {
+  ag::sim::Rng rng(17);
+  DenseDecoder<GF256> d = stream_decoder(kStreamK / 2, rng);
+  const DenseDecoder<GF256> sender = d;
+  const auto coeffs = stream_coeffs(sender, 64, rng);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(d.insert_from(coeffs[i++ & 63], sender));
+  }
+}
+BENCHMARK(BM_StreamInsertFromSenderDependentRank8);
 
 }  // namespace
 

@@ -13,10 +13,15 @@
 /// Pipeline per synchronous round (sim::run drives it like any protocol):
 ///   1. every node activates once: it picks a generation via the
 ///      GenerationScheduler over the lanes it can serve (rank > 0), draws a
-///      partner, and PUSHes one fresh combination tagged with the
-///      generation id and its own rank there (the peer-rank feedback that
-///      drives rarest_first);
-///   2. the round barrier flushes the mailbox into the lane decoders;
+///      partner, and PUSHes the coefficients of one fresh combination tagged
+///      with the generation id and its own rank there (the peer-rank
+///      feedback that drives rarest_first).  The frame carries no payload;
+///   2. the round barrier flushes the mailbox into the lane decoders.  Only
+///      a helpful frame gets a payload, combined from the sender's current
+///      rows (RlncSwarm::receive_from).  Within a round a sender's row space
+///      only grows, and lanes restart only after the flush, so that payload
+///      is byte-identical to the one an eager combination would have
+///      carried, and a useless frame costs no payload work at all;
 ///   3. delivery scan: a node whose OLDEST undelivered generation reached
 ///      full rank decodes it and delivers its messages in order (strictly
 ///      in-order delivery, like a TCP receive window) -- per-message
@@ -53,10 +58,11 @@
 
 namespace ag::coding {
 
-/// One coded frame of the streaming protocol: the inner packet plus the
-/// generation it codes over and the sender's rank there.  Over the wire
-/// (net/swarm_runner.hpp) the generation rides in the wire header and the
-/// rank feedback is approximated locally; in-sim it travels in-struct.
+/// One coded frame of the streaming protocol: the generation it codes over,
+/// the sender's rank there, and the body.  In-sim the body is the
+/// coefficient vector alone (StreamingSwarm::message_type); over the wire
+/// (net/swarm_runner.hpp) the body is a whole packet, the generation rides
+/// in the wire header and the rank feedback is approximated locally.
 template <typename P>
 struct StreamPacket {
   std::uint32_t generation = 0;
@@ -64,16 +70,19 @@ struct StreamPacket {
   P body;
 };
 
+/// The in-sim frame: a StreamPacket whose body is the coefficient vector.
+template <typename D>
+using CoeffFrame = StreamPacket<std::vector<typename D::value_type>>;
+
 /// \tparam D decoder type for the per-generation lanes (DenseDecoder<F>).
 template <typename D>
-class StreamingSwarm
-    : public sim::Mailbox<StreamingSwarm<D>, StreamPacket<typename D::packet_type>> {
-  using Base = sim::Mailbox<StreamingSwarm<D>, StreamPacket<typename D::packet_type>>;
+class StreamingSwarm : public sim::Mailbox<StreamingSwarm<D>, CoeffFrame<D>> {
+  using Base = sim::Mailbox<StreamingSwarm<D>, CoeffFrame<D>>;
   friend Base;
 
  public:
   using packet_type = typename D::packet_type;
-  using message_type = StreamPacket<packet_type>;
+  using message_type = CoeffFrame<D>;
   using payload_elem = typename core::RlncSwarm<D>::payload_elem;
 
   /// Called on every in-order delivery of a real (non-padding) message:
@@ -89,7 +98,8 @@ class StreamingSwarm
         scheduler_(topo_->node_count(), cfg),
         selector_(*topo_),
         total_gens_(cfg.total_generations()),
-        delivered_gens_(topo_->node_count(), 0) {
+        delivered_gens_(topo_->node_count(), 0),
+        inject_payload_(cfg.payload_len) {
     assert(cfg_.generation_size > 0);
     assert(cfg_.window > 0);
     assert(cfg_.source < topo_->node_count());
@@ -122,7 +132,7 @@ class StreamingSwarm
         v, std::span<const std::uint32_t>(candidates_), rng, round_);
     const graph::NodeId u = selector_.pick(v, rng);
     Lane& lane = lanes_[gen % cfg_.window];
-    if (!lane.swarm.combine_into(v, rng, buf_.body)) return;
+    if (!lane.swarm.node(v).random_coefficients_into(rng, buf_.body)) return;
     buf_.generation = gen;
     buf_.sender_rank = static_cast<std::uint32_t>(lane.swarm.node(v).rank());
     this->send(v, u, buf_);
@@ -189,14 +199,16 @@ class StreamingSwarm
   };
 
   void deliver(graph::NodeId from, graph::NodeId to, const message_type& msg) {
-    (void)from;
     Lane& lane = lanes_[msg.generation % cfg_.window];
     if (lane.gen != msg.generation) {
       ++stale_packets_;
       return;
     }
     scheduler_.observe(to, msg.generation, msg.sender_rank, round_);
-    lane.swarm.receive(to, msg.body, round_);
+    // The frame's payload is built from the sender's rows (see the file
+    // comment), which still span its coefficients.
+    assert(lane.swarm.node(from).contains(msg.body));
+    lane.swarm.receive_from(to, from, msg.body, round_);
   }
 
   // In-order delivery: node v hands generations to the application strictly
@@ -277,10 +289,10 @@ class StreamingSwarm
         if (gen >= opened_gens_) opened_gens_ = gen + 1;
       }
       const std::size_t i = next_inject_ % cfg_.generation_size;
-      const auto payload = core::RlncSwarm<D>::expected_payload(
-          static_cast<std::size_t>(next_inject_), cfg_.payload_len);
-      decltype(auto) d = lane.swarm.node(cfg_.source);
-      lane.swarm.receive(cfg_.source, d.unit_packet(i, payload), round_);
+      core::RlncSwarm<D>::expected_payload_into(static_cast<std::size_t>(next_inject_),
+                                                inject_payload_);
+      lane.swarm.node(cfg_.source).unit_packet_into(i, inject_payload_, inject_pkt_);
+      lane.swarm.receive(cfg_.source, inject_pkt_, round_);
       lane.inject_round[i] = round_;
       if (next_inject_ < cfg_.total_messages) ++injected_real_;
       ++next_inject_;
@@ -309,6 +321,8 @@ class StreamingSwarm
 
   std::vector<std::uint32_t> candidates_;  // reusable scratch for on_activate
   message_type buf_;                       // reusable transmit scratch
+  std::vector<payload_elem> inject_payload_;  // reusable injection scratch
+  packet_type inject_pkt_;
   DeliveryHook delivery_hook_;
 };
 

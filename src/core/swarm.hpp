@@ -17,10 +17,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/dissemination.hpp"
 #include "core/swarm_storage.hpp"
+#include "linalg/decoder_concept.hpp"
 #include "linalg/verify.hpp"
 #include "sim/rng.hpp"
 
@@ -31,10 +33,10 @@ namespace ag::core {
 struct Unseeded {};
 
 /// \tparam D     decoder type: DenseDecoder<F>, BitDecoder, or the rank-only
-///               trackers (linalg/rank_tracker.hpp)
+///               trackers (linalg/rank_tracker.hpp); any linalg::RlncDecoder
 /// \tparam Store storage policy providing at(v)/reset(v); defaults to one
 ///               self-contained decoder object per node
-template <typename D, typename Store = VectorNodeStore<D>>
+template <linalg::RlncDecoder D, typename Store = VectorNodeStore<D>>
 class RlncSwarm {
  public:
   using decoder_type = D;
@@ -174,18 +176,25 @@ class RlncSwarm {
   /// the packet was helpful (increased `to`'s rank).
   bool receive(graph::NodeId to, const packet_type& pkt, std::uint64_t now_round) {
     decltype(auto) d = store_.at(to);
-    if (verify_inserts_ && linalg::is_malformed(d, pkt)) {
-      ++malformed_;
-      ++malformed_per_node_[to];
-      return false;
+    if (verify_inserts_ && linalg::is_malformed(d, pkt)) return reject(to);
+    return tally(to, d, d.insert(pkt), now_round);
+  }
+
+  /// receive() of the packet `from` would have sent with coefficients
+  /// `coeffs`, its payload built from `from`'s current rows only if it is
+  /// helpful (DenseRrefView::insert_from).  Byte-identical to receive() of
+  /// the eagerly combined packet while `coeffs` lies in `from`'s row space,
+  /// which holds from the draw to the end of the synchronous round as long
+  /// as `from` is not reset in between.  The verification hook checks the
+  /// coefficients alone: there is no payload in flight to forge.
+  bool receive_from(graph::NodeId to, graph::NodeId from,
+                    std::span<const typename D::value_type> coeffs, std::uint64_t now_round) {
+    decltype(auto) d = store_.at(to);
+    if (verify_inserts_ &&
+        linalg::malformed_coeffs<typename D::field_type>(d, coeffs)) {
+      return reject(to);
     }
-    if (d.insert(pkt)) {
-      ++helpful_;
-      if (d.full_rank()) mark_finished(to, now_round);
-      return true;
-    }
-    ++useless_;
-    return false;
+    return tally(to, d, d.insert_from(coeffs, std::as_const(store_).at(from)), now_round);
   }
 
   /// Per-shard receive counters for the sharded round runner: each shard
@@ -243,6 +252,15 @@ class RlncSwarm {
     return out;
   }
 
+  /// expected_payload() written into a caller-owned buffer of any length.
+  /// (expected_payload() keeps a loop of its own rather than calling this:
+  /// as a wrapper it changed GCC's inlining of the rank-only engines.)
+  static void expected_payload_into(std::size_t i, std::span<payload_elem> out) {
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      out[j] = D::payload_symbol_from(payload_word(i, j));
+    }
+  }
+
   /// True iff node v decodes message i to exactly the payload it was sent
   /// with.  Under a rank-only store payload_length() is 0 and this
   /// degenerates to the full-rank check.
@@ -258,6 +276,24 @@ class RlncSwarm {
   }
 
  private:
+  bool reject(graph::NodeId to) {
+    ++malformed_;
+    ++malformed_per_node_[to];
+    return false;
+  }
+
+  // Counts one insert verdict; `d` is `to`'s decoder after the insert.
+  template <typename Node>
+  bool tally(graph::NodeId to, const Node& d, bool helpful, std::uint64_t now_round) {
+    if (!helpful) {
+      ++useless_;
+      return false;
+    }
+    ++helpful_;
+    if (d.full_rank()) mark_finished(to, now_round);
+    return true;
+  }
+
   void mark_finished(graph::NodeId v, std::uint64_t round) {
     if (finish_round_[v] == kNotFinished) {
       finish_round_[v] = round;

@@ -2,7 +2,9 @@
 /// Concept tying the RLNC decoder family together so that nodes and
 /// protocols can be generic over the coefficient representation: the full
 /// decoders (DenseDecoder<F>, BitDecoder) and the rank-only trackers
-/// (DenseRankTracker<F>, BitRankTracker) all satisfy it.
+/// (DenseRankTracker<F>, BitRankTracker) all satisfy it, and
+/// core::RlncSwarm<D, Store> requires it of D, so every swarm instantiation
+/// checks it at build time.
 #pragma once
 
 #include <concepts>

@@ -14,7 +14,9 @@
 /// contiguous [coeffs (k) | payload (r)] stripes.  insert() reduces the
 /// coefficients first and touches the payload only for a helpful packet; back
 /// elimination then updates a stored row's coefficient tail and payload with
-/// one axpy over the contiguous stripe.
+/// one axpy over the contiguous stripe.  insert_from() is the same insert for
+/// a packet sent as coefficients alone: a helpful packet's payload is built
+/// from the sender's rows, a dependent one's is never built at all.
 ///
 /// Elimination exploits the RREF prefix invariant (every stored row is zero
 /// strictly before its pivot column, proved in insert() below): eliminating
@@ -96,39 +98,27 @@ class DenseRrefView : public detail::RrefViewBase<DenseRrefView<F, Mutable>,
   /// Inserts a packet; returns true iff it increased the rank (was helpful).
   /// Draws no randomness.
   bool insert(const packet_type& pkt) requires Mutable {
-    if (this->full_rank()) return false;
-    const std::size_t pivot = reduce<true>(pkt.coeffs);
-    if (pivot == kNoColumn) return false;  // linearly dependent: not helpful
-    value_type* row = scratch_;
+    return insert_staged(pkt.coeffs, [&] { return this->stage_payload(pkt); });
+  }
 
-    // The payload gets the eliminations the coefficient pass made, with the
-    // same multipliers: the packet's own coefficients at the pivot columns
-    // (see linalg/rref_view.hpp).
-    const std::span<value_type> payload = this->stage_payload(pkt);
-    if (!payload.empty()) {
-      for (std::size_t p = 0; p < k_; ++p) {
-        const value_type c = pkt.coeffs[p];
-        const std::uint32_t ri = pivot_row_[p];
-        if (c != F::zero && ri != kNoPivot) {
-          gf::axpy<F>(payload, this->payload_of(row_ptr(ri)), c);
-        }
-      }
-    }
-
-    // Normalize so the pivot element is 1.  Everything before the pivot is
-    // already zero, so scale the tail only.
-    gf::scale<F>(tail(row, pivot), F::inv(row[pivot]));
-
-    // Back-eliminate this pivot from all existing rows to keep RREF.  A row
-    // with a nonzero entry at `pivot` has its own pivot strictly before
-    // `pivot` (its pivot column is zero in the new row after forward
-    // elimination), so its prefix is untouched and the invariant holds.
-    for (std::uint32_t i = 0; i < *rank_; ++i) {
-      value_type* r = row_ptr(i);
-      const value_type c = r[pivot];
-      if (c != F::zero) gf::axpy<F>(tail(r, pivot), tail(row, pivot), c);
-    }
-    return this->append(pivot);
+  /// Inserts the equation with coefficients `coeffs` whose payload is built
+  /// from `sender`'s rows on demand: insert() of the packet `sender` would
+  /// have sent, for any `coeffs` in `sender`'s row space.  Same verdict and
+  /// same stored rows, byte for byte (the payload of an equation c in a
+  /// fully reduced row space is sum_p c[p] * payload(row with pivot p),
+  /// whichever rows the space currently has), but a dependent packet reads
+  /// no payload anywhere and a helpful one is combined once, here.
+  /// `sender` must be another node's state (it may have gained rows since
+  /// `coeffs` was drawn) with this view's payload length.
+  template <bool M>
+  bool insert_from(std::span<const value_type> coeffs,
+                   const DenseRrefView<F, M>& sender) requires Mutable {
+    assert(this->payload_length() == 0 || sender.payload_length() == this->payload_length());
+    return insert_staged(coeffs, [&] {
+      const std::span<value_type> payload = this->stage_zero_payload();
+      sender.add_pivot_payloads(payload, coeffs);
+      return payload;
+    });
   }
 
   /// Whether `coeffs` lies in the stored row space.  Clobbers the scratch
@@ -145,9 +135,15 @@ class DenseRrefView : public detail::RrefViewBase<DenseRrefView<F, Mutable>,
   /// reused: a caller that recycles the same packet allocates nothing.
   template <typename URBG>
   bool random_combination_into(URBG& rng, packet_type& out) const {
-    return this->combine(out, [&] {
-      return static_cast<value_type>(util::uniform_below(rng, F::order));
-    });
+    return this->combine(out, uniform_draw(rng));
+  }
+
+  /// The same transmit rule without the payload: the same draws in the same
+  /// order, the same coefficients, and no payload kernel call.  The receiver
+  /// builds the payload with insert_from() against this node's rows.
+  template <typename URBG>
+  bool random_coefficients_into(URBG& rng, std::vector<value_type>& coeffs) const {
+    return this->combine(coeffs, uniform_draw(rng));
   }
 
   /// Sparse-coding variant (systems extension; kodo-style density knob): each
@@ -166,6 +162,59 @@ class DenseRrefView : public detail::RrefViewBase<DenseRrefView<F, Mutable>,
   }
 
  private:
+  template <gf::GaloisField, bool>
+  friend class DenseRrefView;  // insert_from reads the sender's rows
+
+  template <typename URBG>
+  static auto uniform_draw(URBG& rng) noexcept {
+    return [&rng] { return static_cast<value_type>(util::uniform_below(rng, F::order)); };
+  }
+
+  /// The one elimination body of insert() and insert_from(), which differ
+  /// only in stage_payload(): called once the packet is known to be
+  /// helpful, it stages the packet's payload behind the reduced
+  /// coefficients and returns the payload span.
+  template <typename StagePayload>
+  bool insert_staged(std::span<const value_type> coeffs,
+                     StagePayload stage_payload) requires Mutable {
+    if (this->full_rank()) return false;
+    const std::size_t pivot = reduce<true>(coeffs);
+    if (pivot == kNoColumn) return false;  // linearly dependent: not helpful
+    value_type* row = scratch_;
+
+    // The payload gets the eliminations the coefficient pass made, with the
+    // same multipliers: the packet's own coefficients at the pivot columns
+    // (see linalg/rref_view.hpp).
+    add_pivot_payloads(stage_payload(), coeffs);
+
+    // Normalize so the pivot element is 1.  Everything before the pivot is
+    // already zero, so scale the tail only.
+    gf::scale<F>(tail(row, pivot), F::inv(row[pivot]));
+
+    // Back-eliminate this pivot from all existing rows to keep RREF.  A row
+    // with a nonzero entry at `pivot` has its own pivot strictly before
+    // `pivot` (its pivot column is zero in the new row after forward
+    // elimination), so its prefix is untouched and the invariant holds.
+    for (std::uint32_t i = 0; i < *rank_; ++i) {
+      value_type* r = row_ptr(i);
+      const value_type c = r[pivot];
+      if (c != F::zero) gf::axpy<F>(tail(r, pivot), tail(row, pivot), c);
+    }
+    return this->append(pivot);
+  }
+
+  /// dst += sum over stored pivots p of coeffs[p] * payload(row with pivot
+  /// p).  No-op for an empty `dst` (a rank tracker's payload).
+  void add_pivot_payloads(std::span<value_type> dst,
+                          std::span<const value_type> coeffs) const {
+    if (dst.empty()) return;
+    for (std::size_t p = 0; p < k_; ++p) {
+      const value_type c = coeffs[p];
+      const std::uint32_t ri = pivot_row_[p];
+      if (c != F::zero && ri != kNoPivot) gf::axpy<F>(dst, this->payload_of(row_ptr(ri)), c);
+    }
+  }
+
   /// The coefficient pass: stages `coeffs` in the scratch stripe and
   /// eliminates it, left to right, against every stored pivot row, using the
   /// coefficient's own value at the pivot as the multiplier.  Returns the

@@ -35,8 +35,11 @@
 /// alone; payload arithmetic draws nothing).
 ///
 /// combine() below is the transmit rules' shared row loop, one draw per
-/// stored row in row order.  Both rules of DenseRrefView and the sparse
-/// (density < 1) rule of BitRrefView run it.  BitRrefView's uniform rule has
+/// stored row in row order.  All three rules of DenseRrefView run it -- the
+/// uniform and sparse rules, and the coefficient-only rule that emits the
+/// uniform rule's coefficients without a payload (the streaming swarm's,
+/// whose receivers build payloads on demand) -- and so does the sparse
+/// (density < 1) rule of BitRrefView.  BitRrefView's uniform rule has
 /// kernels of its own (bit_decoder.hpp) that take one 64-bit draw per 64
 /// stored rows.
 ///
@@ -116,14 +119,20 @@ class RrefViewBase {
   /// The unit equation e_i * x = payload for a message the node holds at
   /// protocol start.  A rank tracker drops the payload.
   Packet unit_packet(std::size_t i, std::span<const T> payload = {}) const {
-    assert(i < k_);
     Packet p;
-    p.coeffs.assign(width_, T{});
-    Derived::set_unit(p.coeffs, i);
-    const auto kept = payload.first(payload_in(payload.size()));
-    p.payload.assign(kept.begin(), kept.end());
-    p.payload.resize(payload_, T{});
+    unit_packet_into(i, payload, p);
     return p;
+  }
+
+  /// unit_packet() written into a caller-owned packet whose buffers are
+  /// reused: a caller that recycles one packet allocates nothing.
+  void unit_packet_into(std::size_t i, std::span<const T> payload, Packet& out) const {
+    assert(i < k_);
+    out.coeffs.assign(width_, T{});
+    Derived::set_unit(out.coeffs, i);
+    const auto kept = payload.first(payload_in(payload.size()));
+    out.payload.assign(kept.begin(), kept.end());
+    out.payload.resize(payload_, T{});
   }
 
   template <typename URBG>
@@ -247,6 +256,14 @@ class RrefViewBase {
     return rest.first(payload_);
   }
 
+  /// stage_payload() of an all-zero payload: the start of a payload that
+  /// is then accumulated in place.
+  std::span<T> stage_zero_payload() const {
+    const std::span<T> rest = std::span(scratch_, row_stride_).subspan(width_);
+    std::ranges::fill(rest, T{});
+    return rest.first(payload_);
+  }
+
   /// Appends the reduced scratch row as the owner of column `pivot`.
   bool append(std::size_t pivot) const requires Mutable {
     pivot_row_[pivot] = *rank_;
@@ -258,24 +275,32 @@ class RrefViewBase {
   /// The transmit rules' row loop (the file comment says which rules run
   /// it).  draw() is called once per stored row in row order -- the RNG
   /// stream shared by decoders and trackers -- and a nonzero draw c adds c
-  /// times that row.  A rank tracker makes no payload kernel call at all,
-  /// not even a zero-length one.
-  template <typename Draw>
-  bool combine(Packet& out, Draw draw) const {
+  /// times that row.  `out` is a Packet, or a bare coefficient vector for a
+  /// coefficient-only rule, whose payload the receiver builds on demand
+  /// (DenseRrefView::insert_from).  A rank tracker or a coefficient-only
+  /// rule makes no payload kernel call at all, not even a zero-length one.
+  template <typename Out, typename Draw>
+  bool combine(Out& out, Draw draw) const {
+    constexpr bool kWithPayload = std::is_same_v<Out, Packet>;
     const std::uint32_t rank = *rank_;
     const std::size_t width = width_, payload = payload_;
     if (rank == 0) return false;
-    out.coeffs.assign(width, T{});
-    out.payload.assign(payload, T{});
+    std::vector<T>& coeffs = coeffs_of(out);
+    coeffs.assign(width, T{});
+    if constexpr (kWithPayload) out.payload.assign(payload, T{});
     for (std::uint32_t i = 0; i < rank; ++i) {
       const T c = draw();
       if (c == T{}) continue;
       const T* r = row_ptr(i);
-      Derived::add_scaled(out.coeffs, {r, width}, c);
-      if (payload != 0) Derived::add_scaled(out.payload, {r + width, payload}, c);
+      Derived::add_scaled(coeffs, {r, width}, c);
+      if constexpr (kWithPayload) {
+        if (payload != 0) Derived::add_scaled(out.payload, {r + width, payload}, c);
+      }
     }
     return true;
   }
+  static std::vector<T>& coeffs_of(Packet& p) noexcept { return p.coeffs; }
+  static std::vector<T>& coeffs_of(std::vector<T>& coeffs) noexcept { return coeffs; }
 
   ptr<T> arena_;
   ptr<std::uint32_t> pivot_row_;
@@ -368,6 +393,13 @@ class RrefOwner : private RrefStorage<typename View::value_type>,
   /// Inserts a packet; returns true iff it increased the rank (was helpful).
   bool insert(const typename Base::packet_type& pkt) {
     return Storage::template view<View>(*this).insert(pkt);
+  }
+
+  /// Inserts the equation `coeffs` with its payload built from `sender`'s
+  /// rows (DenseRrefView::insert_from).
+  template <typename Sender>
+  bool insert_from(std::span<const T> coeffs, const Sender& sender) {
+    return Storage::template view<View>(*this).insert_from(coeffs, sender);
   }
 
   /// Returns to the empty state while keeping the arena: the generation

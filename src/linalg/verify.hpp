@@ -62,28 +62,39 @@ enum class PacketClass : std::uint8_t {
   Malformed,  ///< shape or symbol-range violation; no honest encoder emits it
 };
 
+/// Whether any of `symbols` lies outside F.  Only meaningful when the carrier
+/// type can hold values outside the field (GF(2) dense and GF(16) ride in a
+/// uint8; for GF(256)/GF(65536) the value_type range IS the field, and an
+/// unguarded comparison would be always-false and warn).
+template <gf::GaloisField F>
+bool out_of_field(std::span<const typename F::value_type> symbols) noexcept {
+  using value_type = typename F::value_type;
+  constexpr auto carrier_max =
+      static_cast<std::uint64_t>(std::numeric_limits<value_type>::max());
+  if constexpr (carrier_max >= static_cast<std::uint64_t>(F::order)) {
+    for (const auto c : symbols)
+      if (static_cast<std::uint32_t>(c) >= F::order) return true;
+  }
+  return false;
+}
+
+/// The coefficient half of is_malformed(): wrong length or an out-of-range
+/// symbol.  It alone checks a coefficient-only frame, whose payload the
+/// receiver builds from the sender's rows (RlncSwarm::receive_from).
+template <gf::GaloisField F, typename DecoderLike>
+bool malformed_coeffs(const DecoderLike& d,
+                      std::span<const typename F::value_type> coeffs) noexcept {
+  return coeffs.size() != d.message_count() || out_of_field<F>(coeffs);
+}
+
 /// Shape/range verification for dense packets against any decoder-like
 /// receiver (DenseDecoder, DenseRankTracker and its views).  Returns true
 /// iff the packet could not have been produced by a canonical encoder for
 /// this receiver's (k, payload_len) shape.
 template <gf::GaloisField F, typename DecoderLike>
 bool is_malformed(const DecoderLike& d, const DensePacket<F>& pkt) noexcept {
-  if (pkt.coeffs.size() != d.message_count()) return true;
-  if (pkt.payload.size() > d.payload_length()) return true;
-  // Symbol-range check: only meaningful when the carrier type can hold
-  // values outside the field (GF(2) dense and GF(16) ride in a uint8; for
-  // GF(256)/GF(65536) the value_type range IS the field, and an unguarded
-  // comparison would be always-false and warn).
-  using value_type = typename F::value_type;
-  constexpr auto carrier_max =
-      static_cast<std::uint64_t>(std::numeric_limits<value_type>::max());
-  if constexpr (carrier_max >= static_cast<std::uint64_t>(F::order)) {
-    for (const auto c : pkt.coeffs)
-      if (static_cast<std::uint32_t>(c) >= F::order) return true;
-    for (const auto s : pkt.payload)
-      if (static_cast<std::uint32_t>(s) >= F::order) return true;
-  }
-  return false;
+  return malformed_coeffs<F>(d, pkt.coeffs) || pkt.payload.size() > d.payload_length() ||
+         out_of_field<F>(pkt.payload);
 }
 
 /// Shape verification for bit-packed GF(2) packets: exact coefficient word

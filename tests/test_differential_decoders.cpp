@@ -499,6 +499,102 @@ TEST(DifferentialDecoder, ZeroAndDuplicateInsertsAreNeverHelpful) {
   }
 }
 
+// --- Payload on demand -------------------------------------------------------
+
+// Each stored row's pivot column (its first nonzero coefficient), in row order.
+template <typename D>
+std::vector<std::size_t> pivot_columns(const D& d) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < d.rank(); ++i) {
+    const auto c = d.stored_coeff_row(i);
+    std::size_t p = 0;
+    while (p < c.size() && c[p] == 0) ++p;
+    out.push_back(p);
+  }
+  return out;
+}
+
+// insert_from(coeffs, sender) equals insert() of the packet the sender
+// combined eagerly: the coefficient-only rule makes the same draws and the
+// same coefficients, and the insert gives the same verdict and leaves the
+// same stored rows, pivots and rank -- also when the sender gains a row, and
+// so back-eliminates its old rows, between the draw and the insert.
+template <gf::GaloisField F>
+void check_insert_from(std::uint64_t seed, std::size_t payload_len) {
+  using V = typename F::value_type;
+  const std::size_t k = 16;
+  sim::Rng rng(seed);
+  const auto x = ground_truth<F>(k, payload_len, rng);
+  const auto random_equation = [&] {
+    std::vector<V> c(k);
+    for (auto& v : c) v = static_cast<V>(util::uniform_below(rng, F::order));
+    return packet_for<F>(c, x);
+  };
+  std::size_t helpful = 0, dependent = 0, back_eliminated = 0;
+  for (std::uint64_t trial = 0; trial < 48; ++trial) {
+    SCOPED_TRACE(testing::Message() << "payload=" << payload_len << " trial=" << trial);
+    linalg::DenseDecoder<F> sender(k, payload_len), receiver(k, payload_len);
+    const std::size_t sender_rank = 1 + util::uniform_below(rng, k - 1);
+    while (sender.rank() < sender_rank) sender.insert(random_equation());
+    if (trial % 3 == 0) {
+      // The receiver already spans the sender: every packet is dependent.
+      while (receiver.rank() < sender.rank()) receiver.insert(*sender.random_combination(rng));
+    } else {
+      const std::size_t receiver_rank = util::uniform_below(rng, k + 1);
+      while (receiver.rank() < receiver_rank) receiver.insert(random_equation());
+    }
+
+    sim::Rng eager_rng(seed * 1000 + trial);
+    sim::Rng lazy_rng = eager_rng;
+    linalg::DensePacket<F> pkt;
+    std::vector<V> coeffs;
+    ASSERT_TRUE(sender.random_combination_into(eager_rng, pkt));
+    ASSERT_TRUE(sender.random_coefficients_into(lazy_rng, coeffs));
+    ASSERT_EQ(coeffs, pkt.coeffs);
+    ASSERT_EQ(eager_rng(), lazy_rng()) << "the two rules drew differently";
+
+    if (trial % 2 == 1) {
+      const auto old_rows = stored_symbols(sender);
+      const std::size_t before = sender.rank();
+      while (sender.rank() == before) sender.insert(random_equation());
+      const auto new_rows = stored_symbols(sender);
+      if (!std::equal(old_rows.begin(), old_rows.end(), new_rows.begin())) ++back_eliminated;
+    }
+
+    auto eager = receiver;
+    auto lazy = receiver;
+    const bool want = eager.insert(pkt);
+    ASSERT_EQ(lazy.insert_from(coeffs, sender), want);
+    ++(want ? helpful : dependent);
+    ASSERT_EQ(lazy.rank(), eager.rank());
+    ASSERT_EQ(pivot_columns(lazy), pivot_columns(eager));
+    ASSERT_EQ(stored_symbols(lazy), stored_symbols(eager));
+
+    // Filled to full rank alike, both read off the same messages: the
+    // read-off goes through the pivot map.
+    for (std::size_t i = 0; i < k; ++i) {
+      eager.insert(eager.unit_packet(i, x[i]));
+      lazy.insert(lazy.unit_packet(i, x[i]));
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto a = eager.decoded_message(i), b = lazy.decoded_message(i);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "message " << i;
+    }
+  }
+  EXPECT_GT(helpful, 0u);
+  EXPECT_GT(dependent, 0u);
+  EXPECT_GT(back_eliminated, 0u);
+}
+
+TEST(DifferentialDecoder, InsertFromSenderMatchesEagerInsert) {
+  // 200 symbols leave a SIMD tail behind every vector width.
+  for (const std::size_t payload : {0u, 8u, 200u, 1024u}) {
+    check_insert_from<gf::GF2>(901 + payload, payload);
+    check_insert_from<gf::GF16>(902 + payload, payload);
+    check_insert_from<gf::GF256>(903 + payload, payload);
+  }
+}
+
 // --- BitDecoder kernels vs the row-loop oracles ----------------------------
 
 // The combination equals the per-row loop's packet bit for bit and leaves

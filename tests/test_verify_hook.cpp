@@ -24,6 +24,7 @@
 
 #include "core/byzantine.hpp"
 #include "core/decoders.hpp"
+#include "core/swarm.hpp"
 #include "linalg/rank_tracker.hpp"
 #include "linalg/verify.hpp"
 #include "net/corrupt.hpp"
@@ -120,6 +121,46 @@ TEST(VerifyHookForgery, Gf2Dense) { forgeries_rejected<core::Gf2DenseDecoder>(42
 TEST(VerifyHookForgery, Gf16) { forgeries_rejected<core::Gf16Decoder>(43); }
 TEST(VerifyHookForgery, Gf256) { forgeries_rejected<core::Gf256Decoder>(44); }
 TEST(VerifyHookForgery, Gf65536) { forgeries_rejected<core::Gf65536Decoder>(45); }
+
+// receive_from() takes a coefficient vector whose payload the receiver builds
+// from the sender's rows, so the hook checks the coefficients alone: a
+// wrong-length or out-of-range vector is rejected and counted before it
+// reaches a decoder, and a well-formed one is inserted and tallied.
+TEST(VerifyHookReceiveFrom, RejectsAndCountsMalformedCoefficients) {
+  using Swarm = core::RlncSwarm<core::Gf16Decoder>;
+  const std::size_t k = 4, payload = 3;
+  Swarm swarm(core::Unseeded{}, 2, k, payload);
+  for (std::size_t i = 0; i < k; ++i) {
+    swarm.receive(0, swarm.node(0).unit_packet(i, Swarm::expected_payload(i, payload)), 0);
+  }
+  swarm.enable_verification();
+  const std::vector<std::uint8_t> too_short(k - 1, 1), too_long(k + 1, 1);
+  const std::vector<std::uint8_t> out_of_field = {1, 16, 0, 0};  // GF(16) has 0..15
+  EXPECT_FALSE(swarm.receive_from(1, 0, too_short, 1));
+  EXPECT_FALSE(swarm.receive_from(1, 0, too_long, 1));
+  EXPECT_FALSE(swarm.receive_from(1, 0, out_of_field, 1));
+  EXPECT_EQ(swarm.malformed_receives(), 3u);
+  EXPECT_EQ(swarm.malformed_at(1), 3u);
+  EXPECT_EQ(swarm.malformed_at(0), 0u);
+  EXPECT_EQ(swarm.helpful_receives(), k);  // the sender's seeding only
+  EXPECT_EQ(swarm.useless_receives(), 0u);
+  EXPECT_EQ(swarm.node(1).rank(), 0u);
+
+  const std::vector<std::uint8_t> mixed = {1, 2, 15, 7};
+  EXPECT_TRUE(swarm.receive_from(1, 0, mixed, 2));
+  EXPECT_FALSE(swarm.receive_from(1, 0, mixed, 2));
+  for (std::size_t i = 1; i < k; ++i) {
+    std::vector<std::uint8_t> unit(k, 0);
+    unit[i] = 1;
+    EXPECT_TRUE(swarm.receive_from(1, 0, unit, 3));
+  }
+  EXPECT_EQ(swarm.malformed_receives(), 3u);
+  EXPECT_EQ(swarm.helpful_receives(), 2 * k);
+  EXPECT_EQ(swarm.useless_receives(), 1u);
+  EXPECT_EQ(swarm.finish_round(1), 3u);
+  EXPECT_TRUE(swarm.all_complete());
+  for (std::size_t i = 0; i < k; ++i) EXPECT_TRUE(swarm.decodes_correctly(1, i)) << i;
+}
 
 // ---------------------------------------------------------------------------
 // Wire-level soundness: every corrupt_frame() family must be rejected by
