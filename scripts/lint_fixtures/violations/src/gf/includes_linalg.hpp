@@ -1,4 +1,4 @@
 // ag-lint-fixture: expect(layering)
 // gf is the bottom layer: it includes nothing above itself.
 #pragma once
-#include "linalg/fmatrix.hpp"
+#include "linalg/rref_view.hpp"

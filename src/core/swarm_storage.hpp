@@ -11,9 +11,10 @@
 ///     per node, exactly the pre-policy behaviour.  Right for full decoders
 ///     (payload arenas, per-node scratch) at the n of the paper's figures.
 ///
-///   * DenseRankStore<F> / BitRankStore: structure-of-arrays pools for the
-///     rank-only trackers (linalg/rank_tracker.hpp).  ALL nodes' rows live
-///     in one arena allocation (n * k * stride symbols), pivot maps and rank
+///   * PooledRankStore<View> (aliases DenseRankStore<F>, BitRankStore):
+///     structure-of-arrays pools for the rank-only trackers
+///     (linalg/rank_tracker.hpp).  ALL nodes' rows live in one arena
+///     allocation (n * k * stride symbols), pivot maps and rank
 ///     counters are flat arrays, and scratch is one stripe *per shard* of a
 ///     ShardPlan (core/shard_plan.hpp): at(v) hands out the stripe of the
 ///     shard owning v, so the sharded round runner can insert into nodes of
@@ -121,33 +122,34 @@ class VectorNodeStore {
   std::vector<D> nodes_;
 };
 
-/// \brief Structure-of-arrays pool of DenseRankTracker<F> state.
-///
-/// at(v) returns a linalg::DenseRankTrackerRef<F> by value -- a thin view
-/// into the pool; RlncSwarm accesses decoders via decltype(auto), so value
-/// views and references interoperate.
-template <gf::GaloisField F>
-class DenseRankStore {
+/// \brief Structure-of-arrays pool of rank-tracker state.  View is the
+/// tracker's mutable RREF view (DenseRrefView<F, true>, BitRrefView<true>);
+/// a row is View::coeff_width(k) symbols.  at(v) returns a thin view into
+/// the pool by value; RlncSwarm accesses decoders via decltype(auto), so
+/// value views and references interoperate.  At k = 32 over GF(2) a node's
+/// whole decoder state is 32 words of rows + 32 pivots + 1 rank counter.
+template <typename View>
+class PooledRankStore {
  public:
-  using decoder_type = linalg::DenseRankTracker<F>;
-  using ref_type = linalg::DenseRankTrackerRef<F>;
-  using const_ref_type = linalg::DenseRankTrackerConstRef<F>;
-  using value_type = typename F::value_type;
+  using decoder_type = linalg::detail::RrefOwner<View, true>;
+  using ref_type = View;
+  using const_ref_type = typename View::const_view;
+  using value_type = typename View::value_type;
 
   /// payload_len is accepted for signature compatibility and ignored
   /// (rank-only storage has no payload arena).
-  DenseRankStore(std::size_t n, std::size_t k, std::size_t /*payload_len*/ = 0)
-      : n_(n), k_(k),
-        arena_(n * k * k),
+  PooledRankStore(std::size_t n, std::size_t k, std::size_t /*payload_len*/ = 0)
+      : n_(n), k_(k), width_(View::coeff_width(k)),
+        arena_(n * k * width_),
         pivot_row_(n * k, linalg::kNoPivot),
         rank_(n, 0),
         plan_(n, 1),
-        scratch_(k, F::zero) {
+        scratch_(width_, value_type{}) {
     detail::poison_dead_rows(std::span(arena_), kPoison);
   }
 
   ref_type at(graph::NodeId v) {
-    return ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * k_,
+    return ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * width_,
                     pivot_row_.data() + static_cast<std::size_t>(v) * k_,
                     rank_.data() + v, scratch_stripe(v), k_);
   }
@@ -156,7 +158,7 @@ class DenseRankStore {
   /// decoder state behind the completion tracking.  (The scratch stripe it
   /// carries is per-call workspace for contains(), not decoder state.)
   const_ref_type at(graph::NodeId v) const {
-    return const_ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * k_,
+    return const_ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * width_,
                           pivot_row_.data() + static_cast<std::size_t>(v) * k_,
                           rank_.data() + v, scratch_stripe(v), k_);
   }
@@ -165,7 +167,7 @@ class DenseRankStore {
   /// (see the file comment).
   void reset(graph::NodeId v) {
     const std::size_t base = static_cast<std::size_t>(v) * k_;
-    detail::poison_dead_rows(std::span(arena_).subspan(base * k_, k_ * k_), kPoison);
+    detail::poison_dead_rows(std::span(arena_).subspan(base * width_, k_ * width_), kPoison);
     std::fill(pivot_row_.begin() + static_cast<std::ptrdiff_t>(base),
               pivot_row_.begin() + static_cast<std::ptrdiff_t>(base + k_),
               linalg::kNoPivot);
@@ -177,7 +179,7 @@ class DenseRankStore {
   /// from at() are live (they hold stripe pointers into the old pool).
   void configure_shards(std::size_t shards) {
     plan_ = ShardPlan(n_, shards);
-    scratch_.assign(plan_.shard_count() * k_, F::zero);
+    scratch_.assign(plan_.shard_count() * width_, value_type{});
   }
 
   /// Prefetches node v's rank counter and row block (what a combination
@@ -185,7 +187,7 @@ class DenseRankStore {
   void prefetch(graph::NodeId v) const noexcept {
     __builtin_prefetch(rank_.data() + v);
     detail::prefetch_lines(std::span<const value_type>(arena_).subspan(
-        static_cast<std::size_t>(v) * k_ * k_, k_ * k_));
+        static_cast<std::size_t>(v) * k_ * width_, k_ * width_));
   }
 
   std::size_t memory_bytes() const noexcept {
@@ -196,99 +198,25 @@ class DenseRankStore {
 
  private:
   value_type* scratch_stripe(graph::NodeId v) const noexcept {
-    return scratch_.data() + plan_.shard_of(v) * k_;
+    return scratch_.data() + plan_.shard_of(v) * width_;
   }
 
-  // The largest symbol: nonzero and valid in every field.
-  static constexpr auto kPoison = static_cast<value_type>(F::order - 1);
+  // Odd, so nonzero in every field once reduced to a symbol; any packed
+  // GF(2) word is valid as it stands.
+  static constexpr value_type kPoison = View::payload_symbol_from(0xA5A5A5A5A5A5A5A5u);
 
   std::size_t n_;
   std::size_t k_;
-  util::UninitVector<value_type> arena_; // n * k rows of k symbols
-  std::vector<std::uint32_t> pivot_row_; // n * k pivot->row maps
-  std::vector<std::uint32_t> rank_;      // n rank counters
-  ShardPlan plan_;                       // owner of the stripe <-> node map
+  std::size_t width_;                      // symbols per row
+  util::UninitVector<value_type> arena_;   // n * k rows of width_ symbols
+  std::vector<std::uint32_t> pivot_row_;   // n * k pivot->row maps
+  std::vector<std::uint32_t> rank_;        // n rank counters
+  ShardPlan plan_;                         // owner of the stripe <-> node map
   mutable std::vector<value_type> scratch_;  // one stripe per shard
 };
 
-/// \brief Structure-of-arrays pool of BitRankTracker state (GF(2), packed).
-///
-/// The large-n configuration: at k = 32 a node's whole decoder state is
-/// 32 words of rows + 32 pivots + 1 rank counter inside three flat arrays.
-class BitRankStore {
- public:
-  using decoder_type = linalg::BitRankTracker;
-  using ref_type = linalg::BitRankTrackerRef;
-  using const_ref_type = linalg::BitRankTrackerConstRef;
-
-  BitRankStore(std::size_t n, std::size_t k, std::size_t /*payload_words*/ = 0)
-      : n_(n), k_(k), words_(linalg::BitDecoder::words_for(k)),
-        arena_(n * k * words_),
-        pivot_row_(n * k, linalg::kNoPivot),
-        rank_(n, 0),
-        plan_(n, 1),
-        scratch_(words_, 0) {
-    detail::poison_dead_rows(std::span(arena_), kPoison);
-  }
-
-  ref_type at(graph::NodeId v) {
-    return ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * words_,
-                    pivot_row_.data() + static_cast<std::size_t>(v) * k_,
-                    rank_.data() + v, scratch_stripe(v), k_);
-  }
-  /// Const access yields a view without insert() (see DenseRankStore::at).
-  const_ref_type at(graph::NodeId v) const {
-    return const_ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * words_,
-                          pivot_row_.data() + static_cast<std::size_t>(v) * k_,
-                          rank_.data() + v, scratch_stripe(v), k_);
-  }
-
-  /// Rewinds node v's pivot map and rank (see DenseRankStore::reset).
-  void reset(graph::NodeId v) {
-    const std::size_t base = static_cast<std::size_t>(v) * k_;
-    detail::poison_dead_rows(std::span(arena_).subspan(base * words_, k_ * words_), kPoison);
-    std::fill(pivot_row_.begin() + static_cast<std::ptrdiff_t>(base),
-              pivot_row_.begin() + static_cast<std::ptrdiff_t>(base + k_),
-              linalg::kNoPivot);
-    rank_[v] = 0;
-  }
-
-  /// One scratch stripe per shard; see DenseRankStore::configure_shards.
-  void configure_shards(std::size_t shards) {
-    plan_ = ShardPlan(n_, shards);
-    scratch_.assign(plan_.shard_count() * words_, 0);
-  }
-
-  /// Prefetches node v's rank counter and row block; see
-  /// DenseRankStore::prefetch.
-  void prefetch(graph::NodeId v) const noexcept {
-    __builtin_prefetch(rank_.data() + v);
-    detail::prefetch_lines(std::span<const std::uint64_t>(arena_).subspan(
-        static_cast<std::size_t>(v) * k_ * words_, k_ * words_));
-  }
-
-  std::size_t memory_bytes() const noexcept {
-    return arena_.size() * sizeof(std::uint64_t) +
-           pivot_row_.size() * sizeof(std::uint32_t) +
-           rank_.size() * sizeof(std::uint32_t) +
-           scratch_.size() * sizeof(std::uint64_t);
-  }
-
- private:
-  std::uint64_t* scratch_stripe(graph::NodeId v) const noexcept {
-    return scratch_.data() + plan_.shard_of(v) * words_;
-  }
-
-  static constexpr std::uint64_t kPoison = 0xA5A5A5A5A5A5A5A5u;
-
-  std::size_t n_;
-  std::size_t k_;
-  std::size_t words_;
-  util::UninitVector<std::uint64_t> arena_;  // n * k rows of words_ words
-  std::vector<std::uint32_t> pivot_row_;
-  std::vector<std::uint32_t> rank_;
-  ShardPlan plan_;
-  mutable std::vector<std::uint64_t> scratch_;
-};
+template <gf::GaloisField F>
+using DenseRankStore = PooledRankStore<linalg::DenseRankTrackerRef<F>>;
+using BitRankStore = PooledRankStore<linalg::BitRankTrackerRef>;
 
 }  // namespace ag::core

@@ -88,7 +88,9 @@ class BitRrefView : public detail::RrefViewBase<BitRrefView<Mutable>, std::uint6
   }
 
   /// Payload symbols are whole words over GF(2); any 64-bit value is valid.
-  static std::uint64_t payload_symbol_from(std::uint64_t w) noexcept { return w; }
+  static constexpr std::uint64_t payload_symbol_from(std::uint64_t w) noexcept {
+    return w;
+  }
 
   /// Wire size of one coded packet: k coefficient bits + payload bits.
   static double symbol_bits() noexcept { return 64.0; }  // one payload word

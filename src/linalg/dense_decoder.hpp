@@ -81,7 +81,7 @@ class DenseRrefView : public detail::RrefViewBase<DenseRrefView<F, Mutable>,
   static constexpr std::size_t coeff_width(std::size_t k) noexcept { return k; }
 
   /// Maps an arbitrary 64-bit word to a valid payload symbol of this field.
-  static value_type payload_symbol_from(std::uint64_t w) noexcept {
+  static constexpr value_type payload_symbol_from(std::uint64_t w) noexcept {
     return static_cast<value_type>(w % F::order);
   }
 

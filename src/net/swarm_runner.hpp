@@ -41,11 +41,15 @@ namespace ag::net {
 /// The swarm speaks GF(256): byte symbols, the library's end-to-end default.
 using Gf256Packet = linalg::DensePacket<gf::GF256>;
 
-/// Policy note: over UDP, `rarest_first` ranks generations by the LOCAL
-/// rank deficit (frames do not carry peer ranks), unlike the sim driver
-/// where true peer-rank feedback travels in-struct.  Real-socket runs are
-/// not deterministic, so the tie-break needs no RNG draw: lowest
-/// generation id wins.
+/// Policy note: each worker runs the simulator's generation window
+/// (coding::GenerationWindow) and picks generations through the same
+/// coding::GenerationScheduler, so `sequential` and `round_robin` follow the
+/// sim driver's rules.  Frames do not carry peer ranks, so over UDP
+/// `rarest_first` is fed each candidate generation's OWN rank via observe():
+/// a node serves where it is itself furthest from decoding (that feedback
+/// ages out after `rarest_ttl` ticks like peer feedback), and ties break
+/// with one draw from the worker's RNG.  Real-socket runs are not
+/// deterministic either way.
 struct SwarmRunnerConfig {
   std::size_t n = 16;            ///< swarm size (node ids 0..n-1)
   coding::StreamConfig stream;   ///< generation size / window / policy / stream length

@@ -1,9 +1,8 @@
 /// \file
 /// Small dense matrix over a finite field: rank, RREF, matrix-vector product.
 ///
-/// Used by tests and by offline analyses (e.g. verifying decoder results
-/// against a from-scratch elimination); the protocol hot path uses the
-/// incremental decoders instead.
+/// The tests' oracle: it verifies decoder results against a from-scratch
+/// elimination; the protocol hot path uses the incremental decoders instead.
 #pragma once
 
 #include <cassert>

@@ -26,12 +26,12 @@
 #include <vector>
 
 #include "bit_row_loop_oracle.hpp"
+#include "fmatrix.hpp"
 #include "core/decoders.hpp"
 #include "gf/gf2.hpp"
 #include "gf/gf2m.hpp"
 #include "linalg/bit_decoder.hpp"
 #include "linalg/dense_decoder.hpp"
-#include "linalg/fmatrix.hpp"
 #include "sim/rng.hpp"
 #include "util/urbg.hpp"
 

@@ -4,6 +4,7 @@
 // messages to a one-shot k = G*g decode over the same injected stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -13,6 +14,7 @@
 
 #include "coding/scheduler.hpp"
 #include "coding/streaming_swarm.hpp"
+#include "coding/window.hpp"
 #include "core/decoders.hpp"
 #include "sim/engine.hpp"
 #include "sim/topology.hpp"
@@ -309,6 +311,129 @@ TEST(GenerationScheduler, SlotRecyclingForgetsStaleFeedback) {
   sched.observe(0, 0, 1, 0);
   sched.observe(0, 2, 2, 0);  // live: need(gen 2) = 2, need(gen 1) = 4
   EXPECT_EQ(sched.pick(0, gens, rng, 0), 1u);
+}
+
+// --- GenerationWindow unit coverage ------------------------------------------
+// The window both streaming drivers run, driven by hand: no sockets, no RNG.
+
+using Window = coding::GenerationWindow<core::Gf256Decoder>;
+using WindowSwarm = Window::swarm_type;
+
+coding::StreamConfig window_config(std::size_t inject_per_round, std::uint64_t messages) {
+  auto cfg = stream_config(2, 2, coding::GenPolicy::Sequential, messages);
+  cfg.inject_per_round = inject_per_round;
+  return cfg;
+}
+
+// Hands node v every unit equation of the lane, as if gossip had filled it.
+void fill(WindowSwarm& lane, graph::NodeId v, std::uint32_t gen, std::size_t g,
+          std::size_t payload_len) {
+  for (std::size_t i = 0; i < g; ++i) {
+    lane.receive(v,
+                 lane.node(v).unit_packet(
+                     i, WindowSwarm::expected_payload(gen * g + i, payload_len)),
+                 0);
+  }
+}
+
+// Runs deliver_ready at v and returns the global indices it delivered,
+// checking each payload against the source's.
+std::vector<std::uint64_t> deliver(Window& w, graph::NodeId v, std::size_t payload_len) {
+  std::vector<std::uint64_t> got;
+  w.deliver_ready(v, [&](std::uint64_t m, std::span<const std::uint8_t> payload,
+                         std::uint64_t) {
+    const auto want = WindowSwarm::expected_payload(static_cast<std::size_t>(m), payload_len);
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(), want.begin(), want.end()));
+    got.push_back(m);
+  });
+  return got;
+}
+
+TEST(GenerationWindow, LaneOpensLazilyForAnInWindowFrame) {
+  Window w(3, window_config(1, 8));
+  EXPECT_TRUE(w.servable(1).empty());
+  // A frame for generation 1 arrives before generation 0 ever opened.
+  WindowSwarm* lane = w.lane(1);
+  ASSERT_NE(lane, nullptr);
+  EXPECT_EQ(w.lane(1), lane);  // found, not reopened
+  EXPECT_TRUE(w.servable(1).empty()) << "open but rank 0: nothing to serve";
+  fill(*lane, 1, 1, 2, 8);
+  const auto gens = w.servable(1);
+  ASSERT_EQ(gens.size(), 1u);
+  EXPECT_EQ(gens[0], 1u);
+  // Generation 0 is not delivered yet, so generation 1 waits behind it.
+  EXPECT_TRUE(deliver(w, 1, 8).empty());
+  EXPECT_EQ(w.watermarks()[1], 0u);
+}
+
+TEST(GenerationWindow, LaneRefusesEvictedBeyondWindowAndBusySlot) {
+  Window w(2, window_config(1, 6));  // g = 2, W = 2: three generations
+  ASSERT_NE(w.lane(0), nullptr);
+  EXPECT_EQ(w.lane(2), nullptr) << "gen >= evicted + W: slot 0 still holds gen 0";
+  // Every node reports generation 0 delivered (as gossip would), but until
+  // evict() runs the slot still holds it.
+  for (std::uint32_t& wm : w.watermarks()) wm = 1;
+  EXPECT_EQ(w.lane(2), nullptr);
+  w.evict();
+  EXPECT_EQ(w.evicted(), 1u);
+  EXPECT_EQ(w.lane(0), nullptr) << "evicted";
+  EXPECT_NE(w.lane(2), nullptr);
+  for (std::uint32_t& wm : w.watermarks()) wm = 2;
+  w.evict();
+  EXPECT_EQ(w.lane(1), nullptr) << "evicted";
+  EXPECT_EQ(w.lane(3), nullptr) << "inside the window but beyond the stream";
+  EXPECT_EQ(w.lane(4), nullptr) << "beyond the window";
+}
+
+TEST(GenerationWindow, EvictWaitsForTheSlowestWatermark) {
+  Window w(3, window_config(4, 8));  // the source fills generations 0 and 1
+  ASSERT_TRUE(w.inject(0));
+  EXPECT_EQ(w.injected_messages(), 4u);
+  EXPECT_EQ(deliver(w, 0, 8), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  fill(*w.lane(0), 1, 0, 2, 8);
+  EXPECT_EQ(deliver(w, 1, 8), (std::vector<std::uint64_t>{0, 1}));
+  // Node 2 holds generation 1 but not generation 0: in order, nothing yet.
+  fill(*w.lane(1), 2, 1, 2, 8);
+  EXPECT_TRUE(deliver(w, 2, 8).empty());
+  w.evict();
+  EXPECT_EQ(w.evicted(), 0u) << "node 2 has not delivered generation 0";
+  ASSERT_NE(w.lane(0), nullptr);
+  fill(*w.lane(0), 2, 0, 2, 8);
+  EXPECT_EQ(deliver(w, 2, 8), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  w.evict();
+  EXPECT_EQ(w.evicted(), 1u) << "node 1 has not delivered generation 1";
+  EXPECT_FALSE(w.finished());
+}
+
+TEST(GenerationWindow, InjectStallsExactlyWhenTheWindowIsFull) {
+  Window w(2, window_config(1, 10));  // five generations of two, W = 2
+  for (std::uint64_t r = 0; r < 4; ++r) EXPECT_TRUE(w.inject(r)) << "round " << r;
+  EXPECT_FALSE(w.inject(4)) << "generation 2 needs slot 0, held by generation 0";
+  EXPECT_EQ(w.injected_messages(), 4u);
+  deliver(w, 0, 8);
+  w.evict();
+  EXPECT_FALSE(w.inject(5)) << "node 1 still holds generation 0 open";
+  ASSERT_NE(w.lane(0), nullptr);
+  fill(*w.lane(0), 1, 0, 2, 8);
+  deliver(w, 1, 8);
+  w.evict();
+  EXPECT_TRUE(w.inject(6));
+  EXPECT_EQ(w.injected_messages(), 5u);
+  // A batch that runs into the full window stalls part-way.
+  Window batch(2, window_config(3, 10));
+  EXPECT_TRUE(batch.inject(0));
+  EXPECT_FALSE(batch.inject(1));
+  EXPECT_EQ(batch.injected_messages(), 4u);
+}
+
+TEST(GenerationWindow, DrainedStreamIsNotAStall) {
+  Window w(1, window_config(8, 3));  // two generations, the last one padded
+  EXPECT_TRUE(w.inject(0));
+  EXPECT_EQ(w.injected_messages(), 3u);
+  EXPECT_EQ(deliver(w, 0, 8), (std::vector<std::uint64_t>{0, 1, 2}));
+  w.evict();
+  EXPECT_TRUE(w.finished());
+  EXPECT_TRUE(w.inject(1));
 }
 
 }  // namespace

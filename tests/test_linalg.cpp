@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "core/decoders.hpp"
+#include "fmatrix.hpp"
 #include "gf/gf2.hpp"
 #include "gf/gf2m.hpp"
 #include "linalg/bit_decoder.hpp"
 #include "linalg/decoder_concept.hpp"
 #include "linalg/dense_decoder.hpp"
-#include "linalg/fmatrix.hpp"
 #include "sim/rng.hpp"
 
 namespace {
